@@ -6,10 +6,10 @@ component densities, autocorrelation, spin expectation values, component
 norms, characteristic time scales and space-time carpet grids.
 """
 
-from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST, EnergyPair,
-                   EnergyTable, PhysicalParams, TimeScales, dirac_energy,
-                   energy_splitting, energy_table, reduced_energy, t_ls,
-                   t_ls2, time_scale_k, time_scales)
+from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST, EnergyTable,
+                   PhysicalParams, TimeScales, dirac_energy, energy_splitting,
+                   energy_table, reduced_energy, t_ls, t_ls2, time_scale_k,
+                   time_scales)
 from .errors import (EmptyRange, EmptyWindow, InvalidGridSpec, InvalidRange,
                      InvalidQuantumNumbers, LengthMismatch,
                      NonNormalizedSpinor, RangeMismatch, RwpError,

@@ -57,24 +57,14 @@ class PhysicalParams:
 
 
 @dataclass(frozen=True)
-class EnergyPair:
-    """Reduced fine-structure doublet at one n: eps_plus (j = l+1/2) above eps_minus."""
-
-    n: int
-    eps_plus: float
-    eps_minus: float
-    omega: float  # (eps_plus - eps_minus) / hbar, inverse atomic time
-
-
-@dataclass(frozen=True)
 class EnergyTable:
     """Fine-structure doublets for a contiguous n range at fixed (Z, l)."""
 
     params: PhysicalParams
     n: np.ndarray
-    eps_plus: np.ndarray
+    eps_plus: np.ndarray  # reduced energy of j = l+1/2, above eps_minus
     eps_minus: np.ndarray
-    omega: np.ndarray
+    omega: np.ndarray  # (eps_plus - eps_minus) / hbar, inverse atomic time
 
     @property
     def n_min(self) -> int:
@@ -83,15 +73,6 @@ class EnergyTable:
     @property
     def n_max(self) -> int:
         return int(self.n[-1])
-
-    def __iter__(self):
-        for i in range(len(self.n)):
-            yield EnergyPair(
-                int(self.n[i]),
-                float(self.eps_plus[i]),
-                float(self.eps_minus[i]),
-                float(self.omega[i]),
-            )
 
     def __len__(self):
         return len(self.n)

@@ -10,16 +10,14 @@ independent oracle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .core import EnergyTable
 from .errors import EmptyWindow, RangeMismatch
 from .packet import Packet, SpinorAmplitudes, amplitudes_at, _select_energies
-from .radial import RadialGrid, RadialTable, worker_count
+from .radial import RadialGrid, RadialTable
 
 
 @dataclass(frozen=True)
@@ -73,20 +71,32 @@ def _table_rows(amps: SpinorAmplitudes, table: RadialTable) -> np.ndarray:
     return table.values[lo:lo + len(amps.n)]
 
 
-def densities(amps: SpinorAmplitudes, table: RadialTable,
-              grid: RadialGrid) -> DensitySnapshot:
-    """Component densities rho1, rho2 on the radial grid.
+def _project(amps: SpinorAmplitudes, table: RadialTable, grid: RadialGrid):
+    """(rho1, rho2) on the grid, with the channels' leading axes kept.
 
     The two channels of the upper component carry orthogonal angular parts
     (m = l and m = l-1), so their radial superpositions add incoherently.
+    The sum over n runs through einsum on the real and imaginary parts, not
+    through BLAS, so its order and the output bytes do not depend on the
+    BLAS thread count or on how many times are projected at once.
     """
     rows = _table_rows(amps, table)
-    psi_c1 = amps.c1 @ rows
-    psi_d1 = amps.d1 @ rows
-    psi_c2 = amps.c2 @ rows
+
+    def mod_sq(c):
+        re = np.einsum("...n,nr->...r", c.real, rows)
+        im = np.einsum("...n,nr->...r", c.imag, rows)
+        return re * re + im * im
+
     r2 = grid.r ** 2
-    rho1 = r2 * (np.abs(psi_c1) ** 2 + np.abs(psi_d1) ** 2)
-    rho2 = r2 * np.abs(psi_c2) ** 2
+    rho1 = r2 * (mod_sq(amps.c1) + mod_sq(amps.d1))
+    rho2 = r2 * mod_sq(amps.c2)
+    return rho1, rho2
+
+
+def densities(amps: SpinorAmplitudes, table: RadialTable,
+              grid: RadialGrid) -> DensitySnapshot:
+    """Component densities rho1, rho2 on the radial grid at one time."""
+    rho1, rho2 = _project(amps, table, grid)
     return DensitySnapshot(t=amps.t, rho1=rho1, rho2=rho2, grid=grid)
 
 
@@ -116,29 +126,31 @@ def spin_expectations(amps: SpinorAmplitudes, l: int):
     Only the m = l channels of the two components overlap, so the transverse
     expectations reduce to 2 Re / 2 Im of sum_n conj(c1) c2; the sign
     convention makes the precession run in the +sin(omega t) sense for real
-    positive a*b.
+    positive a*b.  The sum runs over the last (n) axis, so amplitudes on a
+    time axis give one array per component.
     """
-    cross = np.sum(np.conj(amps.c1) * amps.c2)
+    cross = np.sum(np.conj(amps.c1) * amps.c2, axis=-1)
     sx = 2.0 * cross.real
     sy = 2.0 * cross.imag
-    sz = float(np.sum(np.abs(amps.c1) ** 2 + np.abs(amps.d1) ** 2
-                      - np.abs(amps.c2) ** 2))
+    sz = np.sum(np.abs(amps.c1) ** 2 + np.abs(amps.d1) ** 2
+                - np.abs(amps.c2) ** 2, axis=-1)
     return sx, sy, sz
 
 
-def component_norms(packet: Packet, energies: EnergyTable, t: float, l: int):
+def component_norms(packet: Packet, energies: EnergyTable, t, l: int):
     """(N1, N2): probability carried by the upper / lower spinor component.
 
     N2(t) = |b|^2/(2l+1)^2 sum_n w_n^2 (1 + 4 l^2 + 4 l cos(omega_n t)),
-    and N1 = 1 - N2 exactly (unitarity).
+    and N1 = 1 - N2 exactly (unitarity).  A scalar t gives two floats, a 1-D
+    array of times two arrays.
     """
     eps_p, eps_m = _select_energies(packet, energies)
     omega = eps_p - eps_m
     b2 = abs(packet.spec.b) ** 2
     w2 = packet.weights ** 2
-    n2 = b2 / (2 * l + 1) ** 2 * float(
-        np.sum(w2 * (1.0 + 4.0 * l * l + 4.0 * l * np.cos(omega * t)))
-    )
+    phase = np.multiply.outer(np.asarray(t, dtype=float), omega)
+    n2 = b2 / (2 * l + 1) ** 2 * np.sum(
+        w2 * (1.0 + 4.0 * l * l + 4.0 * l * np.cos(phase)), axis=-1)
     return 1.0 - n2, n2
 
 
@@ -153,15 +165,8 @@ def observable_series(packet: Packet, energies: EnergyTable,
     times = np.asarray(times, dtype=float)
     l = energies.params.l
     A = autocorrelation(packet, energies, times)
-    sx = np.empty(len(times))
-    sy = np.empty(len(times))
-    sz = np.empty(len(times))
-    n1 = np.empty(len(times))
-    n2 = np.empty(len(times))
-    for i, t in enumerate(times):
-        amps = amplitudes_at(packet, energies, t)
-        sx[i], sy[i], sz[i] = spin_expectations(amps, l)
-        n1[i], n2[i] = component_norms(packet, energies, t, l)
+    sx, sy, sz = spin_expectations(amplitudes_at(packet, energies, times), l)
+    n1, n2 = component_norms(packet, energies, times, l)
     slen = np.sqrt(sx ** 2 + sy ** 2 + sz ** 2)
     return ObservableSeries(t=times, A=A, asq=np.abs(A) ** 2,
                             sx=sx, sy=sy, sz=sz, slen=slen, N1=n1, N2=n2)
@@ -169,27 +174,15 @@ def observable_series(packet: Packet, energies: EnergyTable,
 
 def carpet(packet: Packet, energies: EnergyTable, table: RadialTable,
            grid: RadialGrid, t_grid) -> CarpetGrid:
-    """Space-time density grid; rows are independent snapshots.
+    """Space-time density grid: row i is the density snapshot at t_grid[i].
 
-    Rows may be computed across threads (capped by RWP_THREADS) and are
-    assembled by index, so the result does not depend on worker count.
+    All rows come from one projection of the (T x N) amplitudes; each row is
+    bit-identical to ``densities(amplitudes_at(packet, energies, t_i))``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly ascending")
-
-    def one_row(t):
-        snap = densities(amplitudes_at(packet, energies, t), table, grid)
-        return snap.rho1, snap.rho2
-
-    workers = worker_count()
-    if workers > 1 and len(t_grid) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_row, t_grid))
-    else:
-        rows = [one_row(t) for t in t_grid]
-    rho1 = np.vstack([r[0] for r in rows])
-    rho2 = np.vstack([r[1] for r in rows])
+    if len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be non-empty and strictly ascending")
+    rho1, rho2 = _project(amplitudes_at(packet, energies, t_grid), table, grid)
     return CarpetGrid(t_axis=t_grid, r_axis=grid.r, rho1=rho1, rho2=rho2)
 
 
@@ -210,6 +203,7 @@ def detect_revivals(t, values, window=None, prominence: float = 0.1):
         values = values[mask]
     if len(t) < 3:
         return []
+    from scipy.signal import find_peaks  # slow import, kept off the CLI path
     idx, _ = find_peaks(values, prominence=prominence)
     peaks = []
     for i in idx:

@@ -65,9 +65,13 @@ class Packet:
 
 @dataclass(frozen=True)
 class SpinorAmplitudes:
-    """Per-n channel amplitudes of the evolved packet at one time."""
+    """Per-n channel amplitudes of the evolved packet.
 
-    t: float
+    At one time ``t`` is a float and c1, d1, c2 have shape (N,); on a time
+    axis ``t`` is the 1-D array of times and the channels have shape (T, N).
+    """
+
+    t: float | np.ndarray
     n: np.ndarray
     c1: np.ndarray
     d1: np.ndarray
@@ -122,16 +126,23 @@ def _select_energies(packet: Packet, energies: EnergyTable):
     return energies.eps_plus[lo:hi], energies.eps_minus[lo:hi]
 
 
-def amplitudes_at(packet: Packet, energies: EnergyTable, t: float) -> SpinorAmplitudes:
-    """Exact channel amplitudes at time t (atomic units), from reduced energies."""
+def amplitudes_at(packet: Packet, energies: EnergyTable, t) -> SpinorAmplitudes:
+    """Exact channel amplitudes at time t (atomic units), from reduced energies.
+
+    ``t`` is a scalar or a 1-D array of times.  An array gives the channels a
+    leading time axis, built from one (T x N) phase matrix per branch; row i
+    equals the scalar call at t[i] bit for bit.
+    """
     eps_p, eps_m = _select_energies(packet, energies)
     l = energies.params.l
     w = packet.weights
     a = complex(packet.spec.a)
     b = complex(packet.spec.b)
-    ph_p = np.exp(-1j * eps_p * t)
-    ph_m = np.exp(-1j * eps_m * t)
+    tt = np.asarray(t, dtype=float)
+    ph_p = np.exp(-1j * np.multiply.outer(tt, eps_p))
+    ph_m = np.exp(-1j * np.multiply.outer(tt, eps_m))
     c1 = w * a * ph_p
     d1 = w * b * (math.sqrt(2.0 * l) / (2 * l + 1)) * (ph_p - ph_m)
     c2 = w * b * (1.0 / (2 * l + 1)) * (ph_p + 2.0 * l * ph_m)
-    return SpinorAmplitudes(t=float(t), n=packet.n, c1=c1, d1=d1, c2=c2, l=l)
+    return SpinorAmplitudes(t=float(tt) if tt.ndim == 0 else tt, n=packet.n,
+                            c1=c1, d1=d1, c2=c2, l=l)

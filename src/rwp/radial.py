@@ -11,8 +11,6 @@ so no intermediate ever leaves the double range.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +26,6 @@ DEFAULT_GRID_POINTS = 40001
 _RESCALE_POW = 500
 _RESCALE_UP = 2.0 ** _RESCALE_POW
 _RESCALE_DOWN = 2.0 ** -_RESCALE_POW
-
-
-def worker_count() -> int:
-    """Worker cap for table/carpet construction; RWP_THREADS overrides."""
-    env = os.environ.get("RWP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -156,28 +143,15 @@ def radial_eval(Z: int, n: int, l: int, r) -> np.ndarray:
 
 def radial_table(params: PhysicalParams, n_min: int, n_max: int,
                  grid: RadialGrid) -> RadialTable:
-    """Tabulate R_{n,l} for n in [n_min, n_max] on the grid.
-
-    Rows are computed independently (optionally across threads, capped by
-    RWP_THREADS) and assembled by index, so the result is bit-identical
-    regardless of worker count.
-    """
+    """Tabulate R_{n,l} for n in [n_min, n_max] on the grid, one
+    ``radial_eval`` row per n."""
     if not (params.l + 1 <= n_min <= n_max):
         raise InvalidQuantumNumbers(
             f"need l+1 <= n_min <= n_max, got l={params.l}, "
             f"n_min={n_min}, n_max={n_max}"
         )
     ns = np.arange(n_min, n_max + 1)
-
-    def one_row(n):
-        return radial_eval(params.Z, int(n), params.l, grid.r)
-
-    workers = worker_count()
-    if workers > 1 and len(ns) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_row, ns))
-    else:
-        rows = [one_row(n) for n in ns]
+    rows = [radial_eval(params.Z, int(n), params.l, grid.r) for n in ns]
     return RadialTable(values=np.vstack(rows), n_range=ns,
                        l=params.l, Z=params.Z)
 

@@ -2,13 +2,28 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rwp
 from rwp.cli import main
 from rwp.core import (ATOMIC_TIME_SECONDS, PhysicalParams, t_ls, t_ls2,
                       time_scales)
+
+
+def run_cli(args, **env):
+    """Run the CLI in a fresh interpreter with extra environment variables."""
+    src = str(Path(rwp.__file__).resolve().parents[1])
+    full_env = dict(os.environ, **env)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=full_env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def read_csv(path):
@@ -221,10 +236,35 @@ class TestConfigPrecedence:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
+    def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         args = ["observables", "--Z", "92", "--samples", "64", "--t-max", "1"]
         main(args + ["--out", str(out1)])
-        monkeypatch.setenv("RWP_THREADS", "1")
         main(args + ["--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("args, files", [
+        (["density", "--Z", "92", "--n-av", "80", "--a", "0.6", "--b", "0.8",
+          "--times", "0.5"], ["out.csv"]),
+        (["carpet", "--Z", "92", "--n-av", "80", "--a", "0.6", "--b", "0.8",
+          "--samples", "9", "--grid-points", "4001", "--format", "csv"],
+         ["out_rho1.csv", "out_rho2.csv"]),
+    ])
+    def test_byte_identical_across_blas_threads(self, tmp_path, args, files):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            proc = run_cli(["-m", "rwp.cli", *args, "--out", str(out / "out.csv")],
+                           OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in files])
+        assert outputs[0] == outputs[1]
+
+
+class TestStartup:
+    def test_cli_import_skips_scipy_signal(self):
+        proc = run_cli(["-c", "import sys, rwp.cli; "
+                              "print('scipy.signal' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -74,9 +74,9 @@ class TestEnergyTable:
         # omega vs leading-order Z^4 alpha^2 / (2 n^3 l (l+1)) at small Z alpha
         p = PhysicalParams(Z=1, l=1)
         table = energy_table(p, 2, 5)
-        for row in table:
-            leading = ALPHA ** 2 / (2.0 * row.n ** 3 * 1 * 2)
-            assert row.omega == pytest.approx(leading, rel=1e-4)
+        for n, omega in zip(table.n, table.omega):
+            leading = ALPHA ** 2 / (2.0 * n ** 3 * 1 * 2)
+            assert omega == pytest.approx(leading, rel=1e-4)
 
     @pytest.mark.parametrize("Z", [1, 47, 92])
     @pytest.mark.parametrize("n", [10, 80, 150])

@@ -300,15 +300,23 @@ class TestSeriesAndCarpet:
         gap = minima[1][0] - minima[0][0]
         assert abs(gap / tls - 1.0) < 0.10
 
-    def test_carpet_deterministic_across_workers(self, down, u92_grid,
-                                                 u92_table, monkeypatch, z92):
+    def test_carpet_rows_equal_snapshots(self, down, u92_grid, u92_table,
+                                         z92):
         packet, energies = down
         t_axis = np.linspace(0.0, t_ls(z92, 80), 5)
-        many = carpet(packet, energies, u92_table, u92_grid, t_axis)
-        monkeypatch.setenv("RWP_THREADS", "1")
-        one = carpet(packet, energies, u92_table, u92_grid, t_axis)
-        assert np.array_equal(many.rho1, one.rho1)
-        assert np.array_equal(many.rho2, one.rho2)
+        result = carpet(packet, energies, u92_table, u92_grid, t_axis)
+        for i, t in enumerate(t_axis):
+            snap = densities(amplitudes_at(packet, energies, t),
+                             u92_table, u92_grid)
+            assert np.array_equal(result.rho1[i], snap.rho1)
+            assert np.array_equal(result.rho2[i], snap.rho2)
+
+    @pytest.mark.parametrize("t_axis", [[], [0.0, 0.0], [1.0, 0.5]])
+    def test_carpet_rejects_bad_time_axis(self, down, u92_grid, u92_table,
+                                          t_axis):
+        packet, energies = down
+        with pytest.raises(ValueError):
+            carpet(packet, energies, u92_table, u92_grid, np.array(t_axis))
 
 
 class TestDetectRevivals:

@@ -134,6 +134,20 @@ class TestAmplitudes:
         assert np.allclose(moved.d1, base.d1 * phase, atol=1e-14)
         assert np.allclose(moved.c2, base.c2 * phase, atol=1e-14)
 
+    def test_time_axis_matches_scalar_calls(self, setup, rng):
+        _, packet, energies = setup
+        times = np.concatenate([[0.0, -321.7], rng.uniform(0.0, 1e6, size=30)])
+        batch = amplitudes_at(packet, energies, times)
+        singles = [amplitudes_at(packet, energies, t) for t in times]
+        assert np.array_equal(batch.t, times)
+        for name in ("c1", "d1", "c2"):
+            assert getattr(batch, name).shape == (len(times), len(packet.n))
+            assert np.array_equal(getattr(batch, name),
+                                  np.stack([getattr(s, name) for s in singles]))
+        one = singles[-1]
+        assert type(one.t) is float and one.t == times[-1]
+        assert one.c1.shape == one.d1.shape == one.c2.shape == packet.n.shape
+
     def test_range_mismatch(self, setup):
         params, packet, _ = setup
         short = energy_table(params, 75, 90)

@@ -132,14 +132,6 @@ class TestRadialTable:
         with pytest.raises(InvalidQuantumNumbers):
             u92_table.row(60)
 
-    def test_deterministic_vs_serial(self, monkeypatch):
-        p = PhysicalParams(Z=92, l=1)
-        g = make_grid(p, 75, 2001)
-        parallel = radial_table(p, 72, 75, g)
-        monkeypatch.setenv("RWP_THREADS", "1")
-        serial = radial_table(p, 72, 75, g)
-        assert np.array_equal(parallel.values, serial.values)
-
 
 class TestInnerProduct:
     def test_normalization(self):
