@@ -4,7 +4,8 @@ Precedence for every setting: built-in defaults < --figure preset < config
 file < explicit command-line flag.  Config files are plain ``key = value``
 lines with ``#`` comments, keys named like the flags (``n_av``, ``t_max``...).
 
-Exit status: 0 success, 1 domain error (bad physics input), 2 usage error.
+Exit status: 0 success, 1 domain error (bad physics input, a non-finite or
+out-of-range setting, an output file that cannot be written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .packet import PacketSpec, amplitudes_at, build_packet
 from .radial import DEFAULT_GRID_POINTS, make_grid, radial_table
 
 _FMT = "%.17g"
+_PIXEL_TEXT = np.array([str(v) for v in range(256)], dtype=object)
 
 DEFAULTS = {
     "Z": None,  # required via flag, config or preset
@@ -118,6 +120,13 @@ def merge_config(cli_args: dict, parser: argparse.ArgumentParser) -> dict:
             cfg[key] = value
     if cfg["Z"] is None:
         parser.error("nuclear charge Z is required (--Z, config file or --figure)")
+    for key in ("sigma", "a", "b", "t_max"):
+        if not math.isfinite(cfg[key]):
+            raise RwpError(f"{key} must be finite, got {cfg[key]}")
+    if cfg["times"] is not None and not all(map(math.isfinite, cfg["times"])):
+        raise RwpError(f"times must be finite, got {cfg['times']}")
+    if cfg["samples"] < 1:
+        raise RwpError(f"samples must be >= 1, got {cfg['samples']}")
     return cfg
 
 
@@ -145,20 +154,31 @@ def _out_path(cfg: dict, default: str, suffix: str = "") -> str:
 
 
 def write_csv(path: str, header: list, columns: list):
+    """CRLF CSV, every value as ``%.17g``: one row format per file, one ``%``
+    call per row."""
     rows = np.column_stack(columns)
+    line = ",".join([_FMT] * rows.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for row in rows:
-            fh.write(",".join(_FMT % v for v in row) + "\r\n")
+            fh.write(line % tuple(row.tolist()))
 
 
 def write_pgm(path: str, pixels: np.ndarray):
-    """Plain-text P2 image; pixels already in 0..255."""
+    """Plain-text P2 image of integral pixels in 0..255.
+
+    Each row indexes a table of the 256 pixel strings, so the pixels are
+    checked first, one row at a time, and nothing is written if one is bad.
+    """
     height, width = pixels.shape
+    if pixels.size and not (0 <= pixels.min() and pixels.max() <= 255
+                            and all(np.array_equal(row, np.rint(row))
+                                    for row in pixels)):
+        raise RwpError(f"{path}: pixels must be integers in 0..255")
     with open(path, "w") as fh:
         fh.write(f"P2\n{width} {height}\n255\n")
         for row in pixels:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+            fh.write(" ".join(_PIXEL_TEXT[row.astype(np.intp)].tolist()) + "\n")
 
 
 def _packet_and_energies(cfg: dict, params: PhysicalParams):
@@ -294,14 +314,10 @@ def cmd_carpet(cfg: dict) -> list:
             write_pgm(path, pixels)
             written.append(path)
     else:
+        header = ["t\\r"] + [_FMT % r for r in result.r_axis]
         for name, rho in (("rho1", result.rho1), ("rho2", result.rho2)):
             path = _out_path(cfg, "rwp_carpet.csv", f"_{name}")
-            with open(path, "w", newline="") as fh:
-                fh.write("t\\r," + ",".join(_FMT % r for r in result.r_axis)
-                         + "\r\n")
-                for t, row in zip(result.t_axis / unit_au, rho):
-                    fh.write(_FMT % t + ","
-                             + ",".join(_FMT % v for v in row) + "\r\n")
+            write_csv(path, header, [result.t_axis / unit_au, rho])
             written.append(path)
     return written
 
@@ -380,7 +396,7 @@ def main(argv=None) -> int:
     try:
         cfg = merge_config(cli_args, parser)
         written = COMMANDS[command](cfg)
-    except RwpError as exc:
+    except (RwpError, OSError) as exc:
         print(f"rwp: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     for path in written:

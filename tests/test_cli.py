@@ -11,9 +11,13 @@ import numpy as np
 import pytest
 
 import rwp
-from rwp.cli import main
-from rwp.core import (ATOMIC_TIME_SECONDS, PhysicalParams, t_ls, t_ls2,
-                      time_scales)
+from rwp.cli import main, write_csv, write_pgm
+from rwp.core import (ATOMIC_TIME_SECONDS, PhysicalParams, energy_table, t_ls,
+                      t_ls2, time_scales)
+from rwp.errors import RwpError
+from rwp.observables import carpet
+from rwp.packet import PacketSpec, build_packet
+from rwp.radial import make_grid, radial_table
 
 
 def run_cli(args, **env):
@@ -24,6 +28,32 @@ def run_cli(args, **env):
         filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=full_env,
                           capture_output=True, text=True, timeout=120)
+
+
+# Per-value writers as the package had them before the table-driven ones:
+# the byte reference for write_csv, write_pgm and the carpet CSV.
+def ref_write_csv(path, header, columns):
+    rows = np.column_stack(columns)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v for v in row) + "\r\n")
+
+
+def ref_write_pgm(path, pixels):
+    height, width = pixels.shape
+    with open(path, "w") as fh:
+        fh.write(f"P2\n{width} {height}\n255\n")
+        for row in pixels:
+            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+
+
+def ref_write_carpet_csv(path, r_axis, t_axis, rho):
+    with open(path, "w", newline="") as fh:
+        fh.write("t\\r," + ",".join("%.17g" % r for r in r_axis) + "\r\n")
+        for t, row in zip(t_axis, rho):
+            fh.write("%.17g" % t + ","
+                     + ",".join("%.17g" % v for v in row) + "\r\n")
 
 
 def read_csv(path):
@@ -268,3 +298,118 @@ class TestStartup:
                               "print('scipy.signal' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+AWKWARD = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf,
+                    -np.inf, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, 1e-300, 123456789.0])
+
+
+class TestWriters:
+    @pytest.mark.parametrize("columns", [
+        [AWKWARD],
+        [AWKWARD, AWKWARD[::-1], np.roll(AWKWARD, 3)],
+        [np.arange(len(AWKWARD)), AWKWARD],
+        [np.arange(5), np.arange(5) * 7],
+        [np.empty(0), np.empty(0)],
+    ], ids=["one-column", "three-columns", "int-and-float", "all-int", "no-rows"])
+    def test_csv_matches_reference(self, tmp_path, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        write_csv(tmp_path / "new.csv", header, columns)
+        ref_write_csv(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("pixels", [
+        np.random.default_rng(7).permutation(256).astype(float)[None, :],
+        np.arange(256).reshape(16, 16),
+        np.array([[-0.0, 0.0, 255.0], [1.0, 254.0, 10.0]]),
+        np.zeros((3, 0)),
+    ], ids=["all-256-one-row", "int-dtype", "signed-zero", "zero-width"])
+    def test_pgm_matches_reference(self, tmp_path, pixels):
+        write_pgm(tmp_path / "new.pgm", pixels)
+        ref_write_pgm(tmp_path / "ref.pgm", pixels)
+        assert (tmp_path / "new.pgm").read_bytes() == \
+            (tmp_path / "ref.pgm").read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, -0.5, 256.0, 254.5])
+    def test_pgm_bad_pixel_writes_nothing(self, tmp_path, bad):
+        pixels = np.full((4, 5), 17.0)
+        pixels[3, 2] = bad
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(RwpError, match="0..255"):
+            write_pgm(path, pixels)
+        assert not path.exists()
+
+    def test_carpet_matches_reference_writers(self, tmp_path):
+        args = ["carpet", "--Z", "92", "--a", "0.6", "--b", "0.8",
+                "--samples", "9", "--grid-points", "1001", "--t-max", "1.5"]
+        for fmt in ("pgm", "csv"):
+            proc = run_cli(["-m", "rwp.cli", *args, "--format", fmt,
+                            "--out", str(tmp_path / f"c.{fmt}")])
+            assert proc.returncode == 0, proc.stderr
+        # the same carpet built from the library, written the per-value way
+        params = PhysicalParams(Z=92, l=1)
+        packet = build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.6, b=0.8),
+                              params.l)
+        energies = energy_table(params, packet.n_min, packet.n_max)
+        grid = make_grid(params, packet.n_max, 1001)
+        table = radial_table(params, packet.n_min, packet.n_max, grid)
+        t_cl = time_scales(params, 80).t_cl
+        result = carpet(packet, energies, table, grid,
+                        np.linspace(0.0, 1.5 * t_cl, 9))
+        rho_max = max(result.rho1.max(), result.rho2.max())
+        for name, rho in (("rho1", result.rho1), ("rho2", result.rho2)):
+            ref_write_pgm(tmp_path / f"ref_{name}.pgm",
+                          np.rint(255.0 * rho / rho_max))
+            ref_write_carpet_csv(tmp_path / f"ref_{name}.csv", result.r_axis,
+                                 result.t_axis / t_cl, rho)
+            for ext in ("pgm", "csv"):
+                assert (tmp_path / f"c_{name}.{ext}").read_bytes() == \
+                    (tmp_path / f"ref_{name}.{ext}").read_bytes()
+
+
+class TestBadInput:
+    """Bad settings and unwritable outputs: exit 1, one stderr line, no file."""
+
+    @pytest.mark.parametrize("args", [
+        ["observables", "--Z", "92", "--t-max", "inf"],
+        ["observables", "--Z", "92", "--sigma", "nan"],
+        ["observables", "--Z", "92", "--a", "nan"],
+        ["observables", "--Z", "92", "--samples", "-3"],
+        ["carpet", "--Z", "92", "--samples", "0"],
+        ["carpet", "--figure", "6", "--t-max", "inf", "--samples", "3",
+         "--grid-points", "501"],
+        ["density", "--Z", "92", "--times", "0", "nan"],
+    ], ids=["t-max-inf", "sigma-nan", "a-nan", "samples-negative",
+            "carpet-samples-zero", "carpet-t-max-inf", "times-nan"])
+    def test_rejected_before_writing(self, tmp_path, capsys, args):
+        assert main(args + ["--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rwp: error: RwpError: ")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_file_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("Z = 92\nt_max = inf\n")
+        assert main(["observables", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert "t_max must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["observables", "--Z", "92", "--samples", "3"],
+        ["carpet", "--Z", "92", "--samples", "3", "--grid-points", "501"],
+    ], ids=["observables", "carpet"])
+    def test_unwritable_out_is_domain_error(self, tmp_path, capsys, args):
+        out = tmp_path / "missing" / "out.pgm"
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rwp: error: FileNotFoundError: ")
+        assert len(err.splitlines()) == 1
+
+    def test_cli_subprocess_has_no_traceback(self, tmp_path):
+        proc = run_cli(["-m", "rwp.cli", "carpet", "--Z", "92", "--samples", "0",
+                        "--out", str(tmp_path / "c.pgm")])
+        assert proc.returncode == 1
+        assert proc.stderr == "rwp: error: RwpError: samples must be >= 1, got 0\n"
