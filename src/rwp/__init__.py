@@ -21,6 +21,6 @@ from .observables import (CarpetGrid, DensitySnapshot, ObservableSeries,
 from .packet import (Packet, PacketSpec, SpinorAmplitudes, amplitudes_at,
                      build_packet, gaussian_weights)
 from .radial import (RadialGrid, RadialTable, inner_product, make_grid,
-                     radial_eval, radial_table)
+                     outer_radius, radial_eval, radial_table)
 
 __version__ = "0.1.0"

@@ -22,7 +22,8 @@ from .core import (ATOMIC_TIME_SECONDS, PhysicalParams, energy_table,
 from .errors import RwpError
 from .observables import carpet, densities, observable_series
 from .packet import PacketSpec, amplitudes_at, build_packet
-from .radial import DEFAULT_GRID_POINTS, make_grid, radial_table
+from .radial import (DEFAULT_GRID_POINTS, make_grid, outer_radius,
+                     radial_table)
 
 _FMT = "%.17g"
 _PIXEL_TEXT = np.array([str(v) for v in range(256)], dtype=object)
@@ -127,6 +128,9 @@ def merge_config(cli_args: dict, parser: argparse.ArgumentParser) -> dict:
         raise RwpError(f"times must be finite, got {cfg['times']}")
     if cfg["samples"] < 1:
         raise RwpError(f"samples must be >= 1, got {cfg['samples']}")
+    if cfg["grid_points"] < 501 or cfg["grid_points"] % 2 == 0:
+        raise RwpError(
+            f"grid_points must be odd and >= 501, got {cfg['grid_points']}")
     return cfg
 
 
@@ -143,6 +147,15 @@ def _time_unit_au(cfg: dict, params: PhysicalParams) -> float:
     if unit == "tls":
         return scales.t_ls
     raise RwpError(f"unknown time unit {unit!r}")
+
+
+def _time_au(key: str, value: float, unit_au: float) -> float:
+    """A configured time in atomic units; RwpError if the product overflows."""
+    t = value * unit_au
+    if not math.isfinite(t):
+        raise RwpError(f"{key} = {value} overflows in atomic units "
+                       f"(one time unit = {unit_au} au)")
+    return t
 
 
 def _out_path(cfg: dict, default: str, suffix: str = "") -> str:
@@ -240,12 +253,13 @@ def cmd_timescales(cfg: dict) -> list:
 def cmd_observables(cfg: dict) -> list:
     params = PhysicalParams(Z=cfg["Z"], l=cfg["l"])
     unit_au = _time_unit_au(cfg, params)
+    t_au = np.linspace(0.0, _time_au("t_max", cfg["t_max"], unit_au),
+                       cfg["samples"])
     sigmas = cfg["sigmas"] or [cfg["sigma"]]
     written = []
     for sigma in sigmas:
         run_cfg = dict(cfg, sigma=sigma)
         packet, energies = _packet_and_energies(run_cfg, params)
-        t_au = np.linspace(0.0, cfg["t_max"] * unit_au, cfg["samples"])
         series = observable_series(packet, energies, t_au)
         suffix = f"_sigma{sigma:g}" if len(sigmas) > 1 else ""
         path = _out_path(cfg, "rwp_observables.csv", suffix)
@@ -263,14 +277,15 @@ def cmd_density(cfg: dict) -> list:
     params = PhysicalParams(Z=cfg["Z"], l=cfg["l"])
     unit_au = _time_unit_au(cfg, params)
     times = cfg["times"] if cfg["times"] is not None else [0.0]
+    t_au = [_time_au("times", t, unit_au) for t in times]
     packet, energies = _packet_and_energies(cfg, params)
     grid = make_grid(params, packet.n_max, cfg["grid_points"])
-    table = radial_table(params, packet.n_min, packet.n_max, grid)
+    table = radial_table(params, packet.n_min, packet.n_max, grid.r)
     written = []
-    for i, t in enumerate(times):
-        amps = amplitudes_at(packet, energies, t * unit_au)
+    for i, t in enumerate(t_au):
+        amps = amplitudes_at(packet, energies, t)
         snap = densities(amps, table, grid)
-        suffix = f"_t{i}" if len(times) > 1 else ""
+        suffix = f"_t{i}" if len(t_au) > 1 else ""
         path = _out_path(cfg, "rwp_density.csv", suffix)
         write_csv(path, ["r", "rho1", "rho2", "rho"],
                   [grid.r, snap.rho1, snap.rho2, snap.rho1 + snap.rho2])
@@ -278,28 +293,16 @@ def cmd_density(cfg: dict) -> list:
     return written
 
 
-def _sampling_grid(params: PhysicalParams, n_max: int, points: int):
-    """Radial grid for images: below the Simpson minimum, fall back to a
-    plain uniform sampling with trapezoid weights (nothing integrates it)."""
-    if points >= 501 and points % 2 == 1:
-        return make_grid(params, n_max, points)
-    from .radial import RadialGrid
-    r_max = 2.5 * n_max ** 2 / params.Z
-    r = np.linspace(0.0, r_max, points)
-    w = np.full(points, r_max / (points - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return RadialGrid(r=r, quad_w=w)
-
-
 def cmd_carpet(cfg: dict) -> list:
     params = PhysicalParams(Z=cfg["Z"], l=cfg["l"])
     unit_au = _time_unit_au(cfg, params)
+    t_au = np.linspace(0.0, _time_au("t_max", cfg["t_max"], unit_au),
+                       cfg["samples"])
     packet, energies = _packet_and_energies(cfg, params)
-    grid = _sampling_grid(params, packet.n_max, cfg["grid_points"])
-    table = radial_table(params, packet.n_min, packet.n_max, grid)
-    t_au = np.linspace(0.0, cfg["t_max"] * unit_au, cfg["samples"])
-    result = carpet(packet, energies, table, grid, t_au)
+    # images sample a uniform axis, so equal pixels hold equal widths of r
+    r = np.linspace(0.0, outer_radius(params, packet.n_max), cfg["grid_points"])
+    table = radial_table(params, packet.n_min, packet.n_max, r)
+    result = carpet(packet, energies, table, r, t_au)
     written = []
     fmt = cfg["format"]
     if fmt is None and cfg["out"]:
@@ -351,7 +354,9 @@ def _add_common_options(sub: argparse.ArgumentParser):
                      help="time unit for input and output")
     sub.add_argument("--samples", type=int, help="number of time samples")
     sub.add_argument("--grid-points", dest="grid_points", type=int,
-                     help="radial grid points (odd, >= 501)")
+                     help="radial points, odd, >= 501 (default "
+                          f"{DEFAULT_GRID_POINTS}): quadrature points for "
+                          "density, image columns for carpet")
     sub.add_argument("--figure", type=int, choices=range(1, 7),
                      help="expand a figure preset")
     sub.add_argument("--format", choices=["csv", "pgm"], help="output format")

@@ -71,8 +71,9 @@ def _table_rows(amps: SpinorAmplitudes, table: RadialTable) -> np.ndarray:
     return table.values[lo:lo + len(amps.n)]
 
 
-def _project(amps: SpinorAmplitudes, table: RadialTable, grid: RadialGrid):
-    """(rho1, rho2) on the grid, with the channels' leading axes kept.
+def _project(amps: SpinorAmplitudes, table: RadialTable, r: np.ndarray):
+    """(rho1, rho2) at the table's radii r, with the channels' leading axes
+    kept.
 
     The two channels of the upper component carry orthogonal angular parts
     (m = l and m = l-1), so their radial superpositions add incoherently.
@@ -87,7 +88,7 @@ def _project(amps: SpinorAmplitudes, table: RadialTable, grid: RadialGrid):
         im = np.einsum("...n,nr->...r", c.imag, rows)
         return re * re + im * im
 
-    r2 = grid.r ** 2
+    r2 = r ** 2
     rho1 = r2 * (mod_sq(amps.c1) + mod_sq(amps.d1))
     rho2 = r2 * mod_sq(amps.c2)
     return rho1, rho2
@@ -96,7 +97,7 @@ def _project(amps: SpinorAmplitudes, table: RadialTable, grid: RadialGrid):
 def densities(amps: SpinorAmplitudes, table: RadialTable,
               grid: RadialGrid) -> DensitySnapshot:
     """Component densities rho1, rho2 on the radial grid at one time."""
-    rho1, rho2 = _project(amps, table, grid)
+    rho1, rho2 = _project(amps, table, grid.r)
     return DensitySnapshot(t=amps.t, rho1=rho1, rho2=rho2, grid=grid)
 
 
@@ -173,17 +174,19 @@ def observable_series(packet: Packet, energies: EnergyTable,
 
 
 def carpet(packet: Packet, energies: EnergyTable, table: RadialTable,
-           grid: RadialGrid, t_grid) -> CarpetGrid:
-    """Space-time density grid: row i is the density snapshot at t_grid[i].
+           r, t_grid) -> CarpetGrid:
+    """Space-time density grid: row i is the density at t_grid[i], sampled
+    at the radii r the table was built on.
 
     All rows come from one projection of the (T x N) amplitudes; each row is
-    bit-identical to ``densities(amplitudes_at(packet, energies, t_i))``.
+    bit-identical to the ``densities`` snapshot at t_i on a grid with these r.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be non-empty and strictly ascending")
-    rho1, rho2 = _project(amplitudes_at(packet, energies, t_grid), table, grid)
-    return CarpetGrid(t_axis=t_grid, r_axis=grid.r, rho1=rho1, rho2=rho2)
+    r = np.asarray(r, dtype=float)
+    rho1, rho2 = _project(amplitudes_at(packet, energies, t_grid), table, r)
+    return CarpetGrid(t_axis=t_grid, r_axis=r, rho1=rho1, rho2=rho2)
 
 
 def detect_revivals(t, values, window=None, prominence: float = 0.1):

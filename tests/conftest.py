@@ -67,7 +67,7 @@ def u92_grid(u92):
 
 @pytest.fixture(scope="session")
 def u92_table(u92, u92_grid):
-    return radial_table(u92, 70, 90, u92_grid)
+    return radial_table(u92, 70, 90, u92_grid.r)
 
 
 @pytest.fixture(scope="session")

@@ -81,7 +81,7 @@ def test_criterion_3_time_scale_ordering_scan():
 def test_criterion_4_unitarity_on_the_grid(fig4):
     params, packet, energies, tls, _ = fig4
     grid = make_grid(params, packet.n_max)
-    table = radial_table(params, packet.n_min, packet.n_max, grid)
+    table = radial_table(params, packet.n_min, packet.n_max, grid.r)
     rng = np.random.default_rng(4)
     times = np.exp(rng.uniform(math.log(1e-2 * tls), math.log(30.0 * tls),
                                size=50))
@@ -101,7 +101,7 @@ def test_criterion_4_unitarity_on_the_grid(fig4):
 def test_criterion_5_orthonormality_gate():
     params = PhysicalParams(Z=92, l=1)
     grid = make_grid(params, 90)
-    table = radial_table(params, 70, 90, grid)
+    table = radial_table(params, 70, 90, grid.r)
     weighted = table.values * grid.quad_w * grid.r ** 2
     gram = weighted @ table.values.T
     dev = float(np.abs(gram - np.eye(21)).max())

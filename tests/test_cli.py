@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 import rwp
 from rwp.cli import main, write_csv, write_pgm
@@ -17,7 +18,7 @@ from rwp.core import (ATOMIC_TIME_SECONDS, PhysicalParams, energy_table, t_ls,
 from rwp.errors import RwpError
 from rwp.observables import carpet
 from rwp.packet import PacketSpec, build_packet
-from rwp.radial import make_grid, radial_table
+from rwp.radial import DEFAULT_GRID_POINTS, outer_radius, radial_table
 
 
 def run_cli(args, **env):
@@ -173,10 +174,22 @@ class TestDensity:
         main(["density", "--Z", "92", "--times", "0.37", "--out", str(out)])
         _, data = read_csv(out)
         r, rho = data[:, 0], data[:, 3]
-        h = r[1] - r[0]
-        w = np.ones(len(r))
-        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-        assert np.sum(w * h / 3.0 * rho) == pytest.approx(1.0, abs=1e-6)
+        assert simpson(rho, x=r) == pytest.approx(1.0, abs=1e-6)
+
+    def test_rydberg_density_normalized(self, tmp_path):
+        # n 158-198 at Z = 92: the range where the uniform grid broke the
+        # Gram gate; r steps are non-uniform, so integrate on the r column
+        out = tmp_path / "d.csv"
+        a = b = repr(1.0 / math.sqrt(2.0))
+        assert main(["density", "--Z", "92", "--n-av", "178", "--sigma", "4",
+                     "--a", a, "--b", b, "--t-unit", "tls",
+                     "--times", "0.25", "13", "--out", str(out)]) == 0
+        for name in ("d_t0.csv", "d_t1.csv"):
+            _, data = read_csv(tmp_path / name)
+            r, rho = data[:, 0], data[:, 3]
+            assert len(r) == DEFAULT_GRID_POINTS
+            assert r[0] == 0.0 and np.all(np.diff(r) > 0)
+            assert simpson(rho, x=r) == pytest.approx(1.0, abs=1e-6)
 
     def test_negative_time_accepted(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -195,14 +208,14 @@ class TestCarpet:
     def test_pgm_header_small_grid(self, tmp_path):
         out = tmp_path / "c.pgm"
         main(["carpet", "--Z", "92", "--samples", "10",
-              "--grid-points", "10", "--out", str(out)])
+              "--grid-points", "501", "--out", str(out)])
         text = (tmp_path / "c_rho1.pgm").read_text()
-        assert text.startswith("P2\n10 10\n255\n")
+        assert text.startswith("P2\n501 10\n255\n")
 
     def test_joint_normalization_and_black_row(self, tmp_path):
         out = tmp_path / "c.pgm"
         main(["carpet", "--figure", "6", "--samples", "21",
-              "--grid-points", "401", "--out", str(out)])
+              "--grid-points", "501", "--out", str(out)])
         imgs = []
         for name in ("c_rho1.pgm", "c_rho2.pgm"):
             lines = (tmp_path / name).read_text().splitlines()
@@ -226,6 +239,16 @@ class TestCarpet:
         assert len(rows) == 6
         assert len(rows[0]) == 602
         assert float(rows[-1][0]) == pytest.approx(0.5, rel=1e-12)
+
+    def test_r_axis_uniform_to_outer_radius(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert main(["carpet", "--Z", "92", "--samples", "2",
+                     "--out", str(out)]) == 0
+        with open(tmp_path / "c_rho1.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        r_max = outer_radius(PhysicalParams(Z=92, l=1), 90)
+        assert np.array_equal([float(v) for v in header[1:]],
+                              np.linspace(0.0, r_max, DEFAULT_GRID_POINTS))
 
 
 class TestConfigPrecedence:
@@ -352,10 +375,10 @@ class TestWriters:
         packet = build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.6, b=0.8),
                               params.l)
         energies = energy_table(params, packet.n_min, packet.n_max)
-        grid = make_grid(params, packet.n_max, 1001)
-        table = radial_table(params, packet.n_min, packet.n_max, grid)
+        r = np.linspace(0.0, outer_radius(params, packet.n_max), 1001)
+        table = radial_table(params, packet.n_min, packet.n_max, r)
         t_cl = time_scales(params, 80).t_cl
-        result = carpet(packet, energies, table, grid,
+        result = carpet(packet, energies, table, r,
                         np.linspace(0.0, 1.5 * t_cl, 9))
         rho_max = max(result.rho1.max(), result.rho2.max())
         for name, rho in (("rho1", result.rho1), ("rho2", result.rho2)):
@@ -380,8 +403,27 @@ class TestBadInput:
         ["carpet", "--figure", "6", "--t-max", "inf", "--samples", "3",
          "--grid-points", "501"],
         ["density", "--Z", "92", "--times", "0", "nan"],
+        ["density", "--Z", "92", "--grid-points", "0"],
+        ["density", "--Z", "92", "--grid-points", "1"],
+        ["density", "--Z", "92", "--grid-points", "3"],
+        ["density", "--Z", "92", "--grid-points", "500"],
+        ["carpet", "--Z", "92", "--samples", "3", "--grid-points", "0"],
+        ["carpet", "--Z", "92", "--samples", "3", "--grid-points", "1"],
+        ["carpet", "--Z", "92", "--samples", "3", "--grid-points", "3"],
+        ["carpet", "--Z", "92", "--samples", "3", "--grid-points", "500"],
+        # finite in the chosen unit, infinite once scaled to atomic units
+        ["observables", "--Z", "92", "--t-max", "1e308", "--samples", "3"],
+        ["density", "--Z", "92", "--times", "0", "1e308"],
+        ["carpet", "--Z", "92", "--t-max", "1e308", "--samples", "3",
+         "--grid-points", "501"],
     ], ids=["t-max-inf", "sigma-nan", "a-nan", "samples-negative",
-            "carpet-samples-zero", "carpet-t-max-inf", "times-nan"])
+            "carpet-samples-zero", "carpet-t-max-inf", "times-nan",
+            "density-grid-points-0", "density-grid-points-1",
+            "density-grid-points-3", "density-grid-points-500",
+            "carpet-grid-points-0", "carpet-grid-points-1",
+            "carpet-grid-points-3", "carpet-grid-points-500",
+            "t-max-overflows-au", "times-overflow-au",
+            "carpet-t-max-overflows-au"])
     def test_rejected_before_writing(self, tmp_path, capsys, args):
         assert main(args + ["--out", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err

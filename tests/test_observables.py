@@ -273,7 +273,7 @@ class TestSeriesAndCarpet:
 
     def test_single_row_carpet_is_snapshot(self, down, u92_grid, u92_table):
         packet, energies = down
-        grid_result = carpet(packet, energies, u92_table, u92_grid, [0.0])
+        grid_result = carpet(packet, energies, u92_table, u92_grid.r, [0.0])
         snap = densities(amplitudes_at(packet, energies, 0.0),
                          u92_table, u92_grid)
         assert grid_result.rho1.shape == (1, len(u92_grid))
@@ -283,7 +283,7 @@ class TestSeriesAndCarpet:
     def test_shape(self, down, u92_grid, u92_table, z92):
         packet, energies = down
         t_axis = np.linspace(0.0, t_ls(z92, 80), 7)
-        result = carpet(packet, energies, u92_table, u92_grid, t_axis)
+        result = carpet(packet, energies, u92_table, u92_grid.r, t_axis)
         assert result.rho1.shape == (7, len(u92_grid))
         assert result.rho2.shape == (7, len(u92_grid))
 
@@ -292,7 +292,7 @@ class TestSeriesAndCarpet:
         packet, energies = down
         tls = t_ls(z92, 80)
         t_axis = np.linspace(0.0, 2.0 * tls, 81)
-        result = carpet(packet, energies, u92_table, u92_grid, t_axis)
+        result = carpet(packet, energies, u92_table, u92_grid.r, t_axis)
         mass2 = result.rho2 @ u92_grid.quad_w
         # minima of the transferred mass recur with the spin-orbit period
         minima = detect_revivals(t_axis, -mass2, prominence=0.1)
@@ -304,7 +304,7 @@ class TestSeriesAndCarpet:
                                          z92):
         packet, energies = down
         t_axis = np.linspace(0.0, t_ls(z92, 80), 5)
-        result = carpet(packet, energies, u92_table, u92_grid, t_axis)
+        result = carpet(packet, energies, u92_table, u92_grid.r, t_axis)
         for i, t in enumerate(t_axis):
             snap = densities(amplitudes_at(packet, energies, t),
                              u92_table, u92_grid)
@@ -316,7 +316,7 @@ class TestSeriesAndCarpet:
                                           t_axis):
         packet, energies = down
         with pytest.raises(ValueError):
-            carpet(packet, energies, u92_table, u92_grid, np.array(t_axis))
+            carpet(packet, energies, u92_table, u92_grid.r, np.array(t_axis))
 
 
 class TestDetectRevivals:

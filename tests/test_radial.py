@@ -8,7 +8,8 @@ from scipy.special import eval_genlaguerre
 
 from rwp.core import PhysicalParams
 from rwp.errors import InvalidGridSpec, InvalidQuantumNumbers, LengthMismatch
-from rwp.radial import (inner_product, make_grid, radial_eval, radial_table,
+from rwp.radial import (DEFAULT_GRID_POINTS, inner_product, make_grid,
+                        outer_radius, radial_eval, radial_table,
                         simpson_weights)
 
 
@@ -32,9 +33,24 @@ class TestGrid:
         assert np.sum(g.quad_w) == pytest.approx(g.r_max, rel=1e-12)
 
     def test_weights_integrate_r_squared_exactly(self):
+        # r dr = 2 r_max^2 x^3 dx is cubic in x, where Simpson is exact
         g = make_grid(PhysicalParams(Z=1, l=1), 50, 1001)
+        assert np.sum(g.quad_w * g.r) == pytest.approx(g.r_max ** 2 / 2.0,
+                                                       rel=1e-12)
+        # r^2 dr is quintic in x: exact to rounding on the default grid
+        g = make_grid(PhysicalParams(Z=1, l=1), 50)
         exact = g.r_max ** 3 / 3.0
         assert np.sum(g.quad_w * g.r ** 2) == pytest.approx(exact, rel=1e-12)
+
+    def test_mapped_points(self):
+        p = PhysicalParams(Z=92, l=1)
+        g = make_grid(p, 90, 1001)
+        x = np.linspace(0.0, 1.0, 1001)
+        assert np.array_equal(g.r, outer_radius(p, 90) * x * x)
+        assert g.r_max == outer_radius(p, 90)
+        assert np.all(np.diff(g.r) > 0) and g.r[0] == 0.0
+        assert g.quad_w[0] == 0.0
+        assert len(make_grid(p, 90)) == DEFAULT_GRID_POINTS
 
     @pytest.mark.parametrize("points", [500, 4000, 3, 0])
     def test_invalid_point_counts(self, points):
@@ -117,12 +133,20 @@ class TestRadialTable:
         gram = weighted @ u92_table.values.T
         assert np.abs(gram - np.eye(len(u92_table.n_range))).max() < 1e-8
 
+    @pytest.mark.parametrize("Z, n_min, n_max", [(92, 156, 200), (1, 390, 410)])
+    def test_gram_identity_rydberg_default_grid(self, Z, n_min, n_max):
+        p = PhysicalParams(Z=Z, l=1)
+        g = make_grid(p, n_max)
+        vals = radial_table(p, n_min, n_max, g.r).values
+        gram = (vals * (g.quad_w * g.r ** 2)) @ vals.T
+        assert np.abs(gram - np.eye(len(vals))).max() <= 1e-8
+
     def test_single_row(self):
         # Rydberg regime: the 25% margin past the turning point only holds
         # the tunneling tail below 1e-8 for large n
         p = PhysicalParams(Z=1, l=1)
         g = make_grid(p, 80)
-        t = radial_table(p, 80, 80, g)
+        t = radial_table(p, 80, 80, g.r)
         assert t.values.shape == (1, len(g))
         assert inner_product(t.values[0], t.values[0], g) == pytest.approx(
             1.0, abs=1e-8)
@@ -148,8 +172,16 @@ class TestInnerProduct:
         assert abs(inner_product(r21, r31, g)) < 1e-10
 
     def test_polynomial_exactness(self):
+        # f g r^2 dr with f g = 1/r is cubic in x, where Simpson is exact;
+        # r = 0 carries zero weight, so the value put there does not count
         p = PhysicalParams(Z=1, l=1)
         g = make_grid(p, 5, 501)
+        ones = np.ones(len(g))
+        inv_r = np.zeros(len(g))
+        inv_r[1:] = 1.0 / g.r[1:]
+        assert inner_product(ones, inv_r, g) == pytest.approx(
+            g.r_max ** 2 / 2.0, rel=1e-12)
+        g = make_grid(p, 5)
         ones = np.ones(len(g))
         assert inner_product(ones, ones, g) == pytest.approx(
             g.r_max ** 3 / 3.0, rel=1e-12)
