@@ -19,7 +19,7 @@ from .observables import (CarpetGrid, DensitySnapshot, ObservableSeries,
                           detect_revivals, observable_series, spin_expectations,
                           spin_length)
 from .packet import (Packet, PacketSpec, SpinorAmplitudes, amplitudes_at,
-                     build_packet, gaussian_weights)
+                     build_packet, gaussian_weights, truncation_bounds)
 from .radial import (RadialGrid, RadialTable, inner_product, make_grid,
                      outer_radius, radial_eval, radial_table)
 

@@ -1,8 +1,9 @@
 """Command-line front end: presets, config files, CSV and PGM serialization.
 
-Precedence for every setting: built-in defaults < --figure preset < config
-file < explicit command-line flag.  Config files are plain ``key = value``
-lines with ``#`` comments, keys named like the flags (``n_av``, ``t_max``...).
+Every setting lives in one typed ``RunConfig``, checked when it is built from
+its defaults < --figure preset < config file < explicit command-line flag.
+Config files are plain ``key = value`` lines with ``#`` comments, keys named
+like the flags (``n_av``, ``t_max``...).
 
 Exit status: 0 success, 1 domain error (bad physics input, a non-finite or
 out-of-range setting, an output file that cannot be written), 2 usage error.
@@ -14,43 +15,73 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (ATOMIC_TIME_SECONDS, PhysicalParams, energy_table,
-                   t_ls_lowest_order, time_scales)
+from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST, PhysicalParams,
+                   energy_table, t_ls_lowest_order, time_scales)
 from .errors import RwpError
 from .observables import carpet, densities, observable_series
-from .packet import PacketSpec, amplitudes_at, build_packet
+from .packet import PacketSpec, amplitudes_at, build_packet, truncation_bounds
 from .radial import (DEFAULT_GRID_POINTS, make_grid, outer_radius,
                      radial_table)
 
 _FMT = "%.17g"
 _PIXEL_TEXT = np.array([str(v) for v in range(256)], dtype=object)
 
-DEFAULTS = {
-    "Z": None,  # required via flag, config or preset
-    "l": 1,
-    "n_av": 80,
-    "sigma": 2.0,
-    "a": 0.0,
-    "b": 1.0,
-    "n_min": None,
-    "n_max": None,
-    "t_max": 2.0,
-    "t_unit": "tcl",
-    "samples": 501,
-    "grid_points": DEFAULT_GRID_POINTS,
-    "figure": None,
-    "format": None,  # carpet infers from the out extension, else csv
-    "out": None,
-    "scan": None,
-    "times": None,
-    "au": False,
-    "with_approx": False,
-    "sigmas": None,
-}
+TIME_UNITS = ("au", "s", "tcl", "tls")
+FORMATS = ("csv", "pgm")
 
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every setting of one run, named like the flags.
+
+    ``__post_init__`` holds every check of a setting value: a value no command
+    could use raises RwpError before anything is computed or written.
+    """
+
+    Z: int  # required via flag, config file or preset
+    l: int = 1
+    n_av: int = 80
+    sigma: float = 2.0
+    a: float = 0.0
+    b: float = 1.0
+    n_min: int | None = None  # default n_av - 5 sigma
+    n_max: int | None = None  # default n_av + 5 sigma
+    t_max: float = 2.0
+    t_unit: str = "tcl"
+    samples: int = 501
+    grid_points: int = DEFAULT_GRID_POINTS
+    format: str | None = None  # carpet infers from the out extension, else csv
+    out: str | None = None
+    scan: list[int] | None = None  # timescales: [N_MIN, N_MAX]
+    times: list[float] | None = None  # density snapshot times
+    au: bool = False
+    with_approx: bool = False
+    sigmas: list[float] | None = None  # observables: one file per width
+
+    def __post_init__(self):
+        for key in ("sigma", "a", "b", "t_max"):
+            if not math.isfinite(value := getattr(self, key)):
+                raise RwpError(f"{key} must be finite, got {value}")
+        if self.times is not None and not all(map(math.isfinite, self.times)):
+            raise RwpError(f"times must be finite, got {self.times}")
+        if self.samples < 1:
+            raise RwpError(f"samples must be >= 1, got {self.samples}")
+        if self.grid_points < 501 or self.grid_points % 2 == 0:
+            raise RwpError(
+                f"grid_points must be odd and >= 501, got {self.grid_points}")
+        if self.t_unit not in TIME_UNITS:
+            raise RwpError(f"t_unit must be in {TIME_UNITS}, got {self.t_unit!r}")
+        if self.format not in (*FORMATS, None):
+            raise RwpError(f"format must be in {FORMATS}, got {self.format!r}")
+        if self.scan is not None and self.scan[0] > self.scan[1]:
+            raise RwpError(f"scan needs N_MIN <= N_MAX, got {self.scan}")
+
+
+# the keys a config file may set; lists and booleans are flag- or preset-only
 _CONFIG_TYPES = {
     "Z": int, "l": int, "n_av": int, "sigma": float, "a": float, "b": float,
     "n_min": int, "n_max": int, "t_max": float, "t_unit": str, "samples": int,
@@ -65,7 +96,7 @@ FIGURE_PRESETS = {
     2: {"Z": 92, "l": 1, "n_av": 80, "a": 0.0, "b": 1.0,
         "t_unit": "tcl", "t_max": 2.0, "samples": 401, "sigmas": [1.0, 2.0]},
     # time-scale hierarchy versus n_av
-    3: {"Z": 92, "l": 1, "scan": (20, 150)},
+    3: {"Z": 92, "l": 1, "scan": [20, 150]},
     # spin expectations, |A|^2 and Bloch length out to the spin revival
     4: {"Z": 92, "l": 1, "n_av": 80, "sigma": 2.0,
         "a": 1.0 / math.sqrt(2.0), "b": 1.0 / math.sqrt(2.0),
@@ -100,66 +131,42 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def merge_config(cli_args: dict, parser: argparse.ArgumentParser) -> dict:
-    """Apply defaults < preset < config file < explicit flags."""
-    cfg = dict(DEFAULTS)
-    figure = cli_args.get("figure")
-    config_path = cli_args.get("config")
-    file_cfg = load_config(config_path) if config_path else {}
-    if figure is None:
-        figure = file_cfg.get("figure")
-    if figure is not None:
-        if figure not in FIGURE_PRESETS:
-            parser.error(f"unknown figure preset {figure}")
-        cfg.update(FIGURE_PRESETS[figure])
-        cfg["figure"] = figure
-    cfg.update(file_cfg)
-    for key, value in cli_args.items():
-        if key in ("config",):
-            continue
-        if value is not None and value is not False:
-            cfg[key] = value
-    if cfg["Z"] is None:
+def merge_config(cli_args: dict, parser: argparse.ArgumentParser) -> RunConfig:
+    """RunConfig from preset < config file < the flags given (``cli_args``
+    has no key for a flag left out); the rest keep their field defaults."""
+    flags = dict(cli_args)
+    file_cfg = load_config(flags.pop("config")) if "config" in flags else {}
+    figure = flags.pop("figure", file_cfg.pop("figure", None))  # a flag wins
+    if figure is not None and figure not in FIGURE_PRESETS:
+        parser.error(f"unknown figure preset {figure}")
+    settings = {**FIGURE_PRESETS.get(figure, {}), **file_cfg, **flags}
+    if "Z" not in settings:
         parser.error("nuclear charge Z is required (--Z, config file or --figure)")
-    for key in ("sigma", "a", "b", "t_max"):
-        if not math.isfinite(cfg[key]):
-            raise RwpError(f"{key} must be finite, got {cfg[key]}")
-    if cfg["times"] is not None and not all(map(math.isfinite, cfg["times"])):
-        raise RwpError(f"times must be finite, got {cfg['times']}")
-    if cfg["samples"] < 1:
-        raise RwpError(f"samples must be >= 1, got {cfg['samples']}")
-    if cfg["grid_points"] < 501 or cfg["grid_points"] % 2 == 0:
-        raise RwpError(
-            f"grid_points must be odd and >= 501, got {cfg['grid_points']}")
-    return cfg
+    return RunConfig(**settings)
 
 
-def _time_unit_au(cfg: dict, params: PhysicalParams) -> float:
+def _time_unit_au(cfg: RunConfig, params: PhysicalParams) -> float:
     """Atomic-time value of one configured time unit."""
-    unit = cfg["t_unit"]
-    if unit == "au":
+    if cfg.t_unit == "au":
         return 1.0
-    if unit == "s":
+    if cfg.t_unit == "s":
         return 1.0 / ATOMIC_TIME_SECONDS
-    scales = time_scales(params, cfg["n_av"])
-    if unit == "tcl":
-        return scales.t_cl
-    if unit == "tls":
-        return scales.t_ls
-    raise RwpError(f"unknown time unit {unit!r}")
+    scales = time_scales(params, cfg.n_av)
+    return scales.t_cl if cfg.t_unit == "tcl" else scales.t_ls
 
 
 def _time_au(key: str, value: float, unit_au: float) -> float:
-    """A configured time in atomic units; RwpError if the product overflows."""
+    """A configured time in atomic units.  RwpError unless m0 c^2 |t|, a bound
+    on every phase |eps t|, is finite: an infinite phase makes amplitudes NaN."""
     t = value * unit_au
-    if not math.isfinite(t):
-        raise RwpError(f"{key} = {value} overflows in atomic units "
-                       f"(one time unit = {unit_au} au)")
+    if not math.isfinite(t / FINE_STRUCTURE_CONST ** 2):
+        raise RwpError(f"{key} = {value} overflows in atomic units, as a time "
+                       f"or as a phase (one time unit = {unit_au} au)")
     return t
 
 
-def _out_path(cfg: dict, default: str, suffix: str = "") -> str:
-    path = cfg["out"] or default
+def _out_path(cfg: RunConfig, default: str, suffix: str = "") -> str:
+    path = cfg.out or default
     if suffix:
         stem, ext = os.path.splitext(path)
         path = f"{stem}{suffix}{ext}"
@@ -194,24 +201,19 @@ def write_pgm(path: str, pixels: np.ndarray):
             fh.write(" ".join(_PIXEL_TEXT[row.astype(np.intp)].tolist()) + "\n")
 
 
-def _packet_and_energies(cfg: dict, params: PhysicalParams):
-    spec = PacketSpec(n_av=cfg["n_av"], sigma=cfg["sigma"],
-                      a=cfg["a"], b=cfg["b"],
-                      n_min=cfg["n_min"], n_max=cfg["n_max"])
-    packet = build_packet(spec, params.l)
-    energies = energy_table(params, packet.n_min, packet.n_max)
-    return packet, energies
+def _packet_spec(cfg: RunConfig) -> PacketSpec:
+    return PacketSpec(n_av=cfg.n_av, sigma=cfg.sigma, a=cfg.a, b=cfg.b,
+                      n_min=cfg.n_min, n_max=cfg.n_max)
 
 
-def cmd_energies(cfg: dict) -> list:
-    params = PhysicalParams(Z=cfg["Z"], l=cfg["l"])
-    n_min = cfg["n_min"]
-    n_max = cfg["n_max"]
-    if n_min is None:
-        n_min = max(params.l + 1, round(cfg["n_av"] - 5.0 * cfg["sigma"]))
-    if n_max is None:
-        n_max = round(cfg["n_av"] + 5.0 * cfg["sigma"])
-    table = energy_table(params, n_min, n_max)
+def _packet_and_energies(cfg: RunConfig, params: PhysicalParams):
+    packet = build_packet(_packet_spec(cfg), params.l)
+    return packet, energy_table(params, packet.n_min, packet.n_max)
+
+
+def cmd_energies(cfg: RunConfig) -> list:
+    params = PhysicalParams(Z=cfg.Z, l=cfg.l)
+    table = energy_table(params, *truncation_bounds(_packet_spec(cfg), params.l))
     path = _out_path(cfg, "rwp_energies.csv")
     write_csv(path,
               ["n", "eps_plus_au", "eps_minus_au", "delta_au", "omega_au"],
@@ -220,46 +222,34 @@ def cmd_energies(cfg: dict) -> list:
     return [path]
 
 
-def cmd_timescales(cfg: dict) -> list:
-    params = PhysicalParams(Z=cfg["Z"], l=cfg["l"])
-    if cfg["scan"] is not None:
-        n_values = range(int(cfg["scan"][0]), int(cfg["scan"][1]) + 1)
-    else:
-        n_values = [cfg["n_av"]]
-    factor = 1.0 if cfg["au"] else ATOMIC_TIME_SECONDS
-    unit = "au" if cfg["au"] else "s"
-    rows = {"n_av": [], "T_cl": [], "T_rev": [], "T_ls": [], "T_ls2": [],
-            "T_ls_approx": []}
-    for n_av in n_values:
-        scales = time_scales(params, n_av)
-        rows["n_av"].append(n_av)
-        rows["T_cl"].append(scales.t_cl * factor)
-        rows["T_rev"].append(scales.t_rev * factor)
-        rows["T_ls"].append(scales.t_ls * factor)
-        rows["T_ls2"].append(scales.t_ls2 * factor)
-        rows["T_ls_approx"].append(t_ls_lowest_order(params, n_av) * factor)
-    header = [f"T_cl_{unit}", f"T_rev_{unit}", f"T_ls_{unit}", f"T_ls2_{unit}"]
-    columns = [np.array(rows["n_av"], dtype=float),
-               np.array(rows["T_cl"]), np.array(rows["T_rev"]),
-               np.array(rows["T_ls"]), np.array(rows["T_ls2"])]
-    if cfg["with_approx"]:
+def cmd_timescales(cfg: RunConfig) -> list:
+    params = PhysicalParams(Z=cfg.Z, l=cfg.l)
+    n_values = range(cfg.scan[0], cfg.scan[1] + 1) if cfg.scan else [cfg.n_av]
+    factor = 1.0 if cfg.au else ATOMIC_TIME_SECONDS
+    unit = "au" if cfg.au else "s"
+    scales = [time_scales(params, n_av) for n_av in n_values]
+    header = ["n_av"] + [f"T_{key}_{unit}" for key in ("cl", "rev", "ls", "ls2")]
+    columns = [np.array(n_values, dtype=float)] + [
+        np.array([getattr(s, f"t_{key}") * factor for s in scales])
+        for key in ("cl", "rev", "ls", "ls2")]
+    if cfg.with_approx:
         header.append(f"T_ls_approx_{unit}")
-        columns.append(np.array(rows["T_ls_approx"]))
+        columns.append(np.array([t_ls_lowest_order(params, n_av) * factor
+                                 for n_av in n_values]))
     path = _out_path(cfg, "rwp_timescales.csv")
-    write_csv(path, ["n_av"] + header, columns)
+    write_csv(path, header, columns)
     return [path]
 
 
-def cmd_observables(cfg: dict) -> list:
-    params = PhysicalParams(Z=cfg["Z"], l=cfg["l"])
+def cmd_observables(cfg: RunConfig) -> list:
+    params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     unit_au = _time_unit_au(cfg, params)
-    t_au = np.linspace(0.0, _time_au("t_max", cfg["t_max"], unit_au),
-                       cfg["samples"])
-    sigmas = cfg["sigmas"] or [cfg["sigma"]]
+    t_au = np.linspace(0.0, _time_au("t_max", cfg.t_max, unit_au), cfg.samples)
+    sigmas = cfg.sigmas or [cfg.sigma]
     written = []
     for sigma in sigmas:
-        run_cfg = dict(cfg, sigma=sigma)
-        packet, energies = _packet_and_energies(run_cfg, params)
+        packet, energies = _packet_and_energies(replace(cfg, sigma=sigma),
+                                                params)
         series = observable_series(packet, energies, t_au)
         suffix = f"_sigma{sigma:g}" if len(sigmas) > 1 else ""
         path = _out_path(cfg, "rwp_observables.csv", suffix)
@@ -273,13 +263,12 @@ def cmd_observables(cfg: dict) -> list:
     return written
 
 
-def cmd_density(cfg: dict) -> list:
-    params = PhysicalParams(Z=cfg["Z"], l=cfg["l"])
+def cmd_density(cfg: RunConfig) -> list:
+    params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     unit_au = _time_unit_au(cfg, params)
-    times = cfg["times"] if cfg["times"] is not None else [0.0]
-    t_au = [_time_au("times", t, unit_au) for t in times]
+    t_au = [_time_au("times", t, unit_au) for t in cfg.times or [0.0]]
     packet, energies = _packet_and_energies(cfg, params)
-    grid = make_grid(params, packet.n_max, cfg["grid_points"])
+    grid = make_grid(params, packet.n_max, cfg.grid_points)
     table = radial_table(params, packet.n_min, packet.n_max, grid.r)
     written = []
     for i, t in enumerate(t_au):
@@ -293,35 +282,29 @@ def cmd_density(cfg: dict) -> list:
     return written
 
 
-def cmd_carpet(cfg: dict) -> list:
-    params = PhysicalParams(Z=cfg["Z"], l=cfg["l"])
+def cmd_carpet(cfg: RunConfig) -> list:
+    params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     unit_au = _time_unit_au(cfg, params)
-    t_au = np.linspace(0.0, _time_au("t_max", cfg["t_max"], unit_au),
-                       cfg["samples"])
+    t_au = np.linspace(0.0, _time_au("t_max", cfg.t_max, unit_au), cfg.samples)
     packet, energies = _packet_and_energies(cfg, params)
     # images sample a uniform axis, so equal pixels hold equal widths of r
-    r = np.linspace(0.0, outer_radius(params, packet.n_max), cfg["grid_points"])
+    r = np.linspace(0.0, outer_radius(params, packet.n_max), cfg.grid_points)
     table = radial_table(params, packet.n_min, packet.n_max, r)
     result = carpet(packet, energies, table, r, t_au)
+    ext = os.path.splitext(cfg.out or "")[1].lower()
+    pgm = cfg.format == "pgm" or (cfg.format is None and ext == ".pgm")
+    # joint scaling: the brightest pixel across both components is 255
+    rho_max = max(result.rho1.max(), result.rho2.max())
+    header = None if pgm else ["t\\r"] + [_FMT % r for r in result.r_axis]
     written = []
-    fmt = cfg["format"]
-    if fmt is None and cfg["out"]:
-        ext = os.path.splitext(cfg["out"])[1].lower()
-        fmt = "pgm" if ext == ".pgm" else "csv"
-    if fmt == "pgm":
-        # joint scaling: the brightest pixel across both components is 255
-        rho_max = max(result.rho1.max(), result.rho2.max())
-        for name, rho in (("rho1", result.rho1), ("rho2", result.rho2)):
-            pixels = np.rint(255.0 * rho / rho_max)
+    for name, rho in (("rho1", result.rho1), ("rho2", result.rho2)):
+        if pgm:
             path = _out_path(cfg, "rwp_carpet.pgm", f"_{name}")
-            write_pgm(path, pixels)
-            written.append(path)
-    else:
-        header = ["t\\r"] + [_FMT % r for r in result.r_axis]
-        for name, rho in (("rho1", result.rho1), ("rho2", result.rho2)):
+            write_pgm(path, np.rint(255.0 * rho / rho_max))
+        else:
             path = _out_path(cfg, "rwp_carpet.csv", f"_{name}")
             write_csv(path, header, [result.t_axis / unit_au, rho])
-            written.append(path)
+        written.append(path)
     return written
 
 
@@ -349,8 +332,7 @@ def _add_common_options(sub: argparse.ArgumentParser):
                      help="upper n truncation (default n_av + 5 sigma)")
     sub.add_argument("--t-max", dest="t_max", type=float,
                      help="time span in the chosen unit")
-    sub.add_argument("--t-unit", dest="t_unit",
-                     choices=["au", "s", "tcl", "tls"],
+    sub.add_argument("--t-unit", dest="t_unit", choices=TIME_UNITS,
                      help="time unit for input and output")
     sub.add_argument("--samples", type=int, help="number of time samples")
     sub.add_argument("--grid-points", dest="grid_points", type=int,
@@ -359,7 +341,7 @@ def _add_common_options(sub: argparse.ArgumentParser):
                           "density, image columns for carpet")
     sub.add_argument("--figure", type=int, choices=range(1, 7),
                      help="expand a figure preset")
-    sub.add_argument("--format", choices=["csv", "pgm"], help="output format")
+    sub.add_argument("--format", choices=FORMATS, help="output format")
     sub.add_argument("--out", help="output path (suffixes added for multi-file)")
 
 
@@ -376,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("density", "component densities at chosen times"),
         ("carpet", "space-time density grids (PGM or CSV)"),
     ]:
-        sub = subs.add_parser(name, help=help_text)
+        # a flag left out is missing from the namespace, not None
+        sub = subs.add_parser(name, help=help_text,
+                              argument_default=argparse.SUPPRESS)
         _add_common_options(sub)
         if name == "timescales":
             sub.add_argument("--scan", nargs=2, type=int,

@@ -106,9 +106,9 @@ def _check_nj(params: PhysicalParams, n: int, j: float):
         raise InvalidQuantumNumbers(f"j = {j} is not l +/- 1/2 for l = {params.l}")
 
 
-def reduced_energy(Z: int, n: int, j: float,
-                   alpha: float = FINE_STRUCTURE_CONST) -> float:
-    """Reduced Dirac-Coulomb energy eps = E - m0*c^2 in hartree, any valid j.
+def reduced_energy(Z: int, n, j: float, alpha: float = FINE_STRUCTURE_CONST):
+    """Reduced Dirac-Coulomb energy eps = E - m0*c^2 in hartree, any valid j,
+    at one n or an array of n.
 
     With x = (Z alpha)^2 / D^2 and s = sqrt(1+x),
 
@@ -124,7 +124,7 @@ def reduced_energy(Z: int, n: int, j: float,
         raise SupercriticalCharge(f"(j+1/2)^2 = {jp * jp} <= (Z*alpha)^2 = {y}")
     d = n - jp + math.sqrt(disc)
     x = y / (d * d)
-    s = math.sqrt(1.0 + x)
+    s = np.sqrt(1.0 + x)
     return -x / (s * (1.0 + s)) / alpha ** 2
 
 
@@ -134,8 +134,8 @@ def dirac_energy(params: PhysicalParams, n: int, j: float) -> float:
     return reduced_energy(params.Z, n, j, params.alpha)
 
 
-def energy_splitting(params: PhysicalParams, n: int) -> float:
-    """eps_plus - eps_minus at this n, without catastrophic cancellation.
+def energy_splitting(params: PhysicalParams, n):
+    """eps_plus - eps_minus at n (or an array of n), without cancellation.
 
     Writing f(x) = x / (s (1+s)), s = sqrt(1+x), the splitting is
     m0*c^2 * (f(x_minus) - f(x_plus)).  The difference is reduced exactly to
@@ -146,7 +146,7 @@ def energy_splitting(params: PhysicalParams, n: int) -> float:
                             / [ sqrt((l+1)^2-y) + sqrt(l^2-y) ],   y = (Z alpha)^2.
     """
     l = params.l
-    if n < l + 1:
+    if np.min(n) < l + 1:
         raise InvalidQuantumNumbers(f"n = {n} < l+1 = {l + 1}")
     y = params.z_alpha_sq
     disc_hi = (l + 1) ** 2 - y
@@ -165,8 +165,8 @@ def energy_splitting(params: PhysicalParams, n: int) -> float:
     x_lo = y / (d_minus * d_minus)  # larger of the two (lower branch binds deeper)
     x_hi = y / (d_plus * d_plus)
     dx = y * d_diff * (d_plus + d_minus) / (d_plus * d_plus * d_minus * d_minus)
-    s_lo = math.sqrt(1.0 + x_lo)
-    s_hi = math.sqrt(1.0 + x_hi)
+    s_lo = np.sqrt(1.0 + x_lo)
+    s_hi = np.sqrt(1.0 + x_hi)
     # exact factorization of f(x_lo) - f(x_hi) with the small factor dx pulled out
     num = dx * (1.0 + s_hi - x_hi / (s_lo + s_hi))
     den = s_lo * (1.0 + s_lo) * s_hi * (1.0 + s_hi)
@@ -181,10 +181,10 @@ def energy_table(params: PhysicalParams, n_min: int, n_max: int) -> EnergyTable:
         )
     j_lo, j_hi = _j_values(params.l)
     ns = np.arange(n_min, n_max + 1)
-    eps_p = np.array([dirac_energy(params, int(n), j_hi) for n in ns])
-    eps_m = np.array([dirac_energy(params, int(n), j_lo) for n in ns])
-    om = np.array([energy_splitting(params, int(n)) for n in ns])
-    return EnergyTable(params, ns, eps_p, eps_m, om)
+    return EnergyTable(params, ns,
+                       reduced_energy(params.Z, ns, j_hi, params.alpha),
+                       reduced_energy(params.Z, ns, j_lo, params.alpha),
+                       energy_splitting(params, ns))
 
 
 def energy_derivatives(params: PhysicalParams, n: float, j: float):

@@ -34,7 +34,7 @@ class NonNormalizedSpinor(RwpError):
 
 
 class InvalidRange(RwpError):
-    """Packet truncation bounds violate l+1 <= n_min <= n_av <= n_max."""
+    """Packet bounds violate l+1 <= n_min <= n_av <= n_max; times not ascending."""
 
 
 class RangeMismatch(RwpError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EnergyTable
-from .errors import EmptyWindow, RangeMismatch
+from .errors import EmptyWindow, InvalidRange, RangeMismatch
 from .packet import Packet, SpinorAmplitudes, amplitudes_at, _select_energies
 from .radial import RadialGrid, RadialTable
 
@@ -183,7 +183,7 @@ def carpet(packet: Packet, energies: EnergyTable, table: RadialTable,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be non-empty and strictly ascending")
+        raise InvalidRange("t_grid must be non-empty and strictly ascending")
     r = np.asarray(r, dtype=float)
     rho1, rho2 = _project(amplitudes_at(packet, energies, t_grid), table, r)
     return CarpetGrid(t_axis=t_grid, r_axis=r, rho1=rho1, rho2=rho2)

@@ -90,21 +90,31 @@ def gaussian_weights(n_av: int, sigma: float, n_min: int, n_max: int) -> np.ndar
     if n_min > n_max:
         raise EmptyRange(f"n_min = {n_min} > n_max = {n_max}")
     n = np.arange(n_min, n_max + 1)
-    w = (-1.0) ** n * np.exp(-((n - n_av) ** 2) / (4.0 * sigma ** 2))
+    # not (n - n_av)^2/(4 sigma^2), which is 0/0 at n = n_av once sigma^2
+    # underflows; an overflowing square is inf, which exp sends to 0
+    with np.errstate(over="ignore"):
+        w = (-1.0) ** n * np.exp(-((n - n_av) / (2.0 * sigma)) ** 2)
     return w / math.sqrt(np.sum(w ** 2))
 
 
-def build_packet(spec: PacketSpec, l: int) -> Packet:
-    """Resolve truncation bounds (±5 sigma by default) and build the weights."""
-    norm = abs(spec.a) ** 2 + abs(spec.b) ** 2
-    if abs(norm - 1.0) > SPINOR_NORM_TOL:
-        raise NonNormalizedSpinor(f"|a|^2 + |b|^2 = {norm} != 1")
-    n_min = spec.n_min
-    n_max = spec.n_max
+def truncation_bounds(spec: PacketSpec, l: int) -> tuple[int, int]:
+    """(n_min, n_max) of the packet: the spec's bounds where given, else
+    round(n_av -/+ 5 sigma), with n_min no lower than l+1."""
+    n_min, n_max = spec.n_min, spec.n_max
     if n_min is None:
         n_min = max(l + 1, round(spec.n_av - 5.0 * spec.sigma))
     if n_max is None:
         n_max = round(spec.n_av + 5.0 * spec.sigma)
+    return n_min, n_max
+
+
+def build_packet(spec: PacketSpec, l: int) -> Packet:
+    """Resolve the truncation bounds and build the weights."""
+    # a huge |a| makes |a|*|a| inf (rejected below); |a|**2 raises OverflowError
+    norm = abs(spec.a) * abs(spec.a) + abs(spec.b) * abs(spec.b)
+    if abs(norm - 1.0) > SPINOR_NORM_TOL:
+        raise NonNormalizedSpinor(f"|a|^2 + |b|^2 = {norm} != 1")
+    n_min, n_max = truncation_bounds(spec, l)
     if not (l + 1 <= n_min <= spec.n_av <= n_max):
         raise InvalidRange(
             f"need l+1 <= n_min <= n_av <= n_max, got l={l}, "

@@ -1,14 +1,20 @@
 """Command-line interface: subcommands, presets, config precedence, formats."""
 
+import contextlib
 import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import rwp
@@ -394,28 +400,47 @@ class TestWriters:
 class TestBadInput:
     """Bad settings and unwritable outputs: exit 1, one stderr line, no file."""
 
-    @pytest.mark.parametrize("args", [
-        ["observables", "--Z", "92", "--t-max", "inf"],
-        ["observables", "--Z", "92", "--sigma", "nan"],
-        ["observables", "--Z", "92", "--a", "nan"],
-        ["observables", "--Z", "92", "--samples", "-3"],
-        ["carpet", "--Z", "92", "--samples", "0"],
-        ["carpet", "--figure", "6", "--t-max", "inf", "--samples", "3",
-         "--grid-points", "501"],
-        ["density", "--Z", "92", "--times", "0", "nan"],
-        ["density", "--Z", "92", "--grid-points", "0"],
-        ["density", "--Z", "92", "--grid-points", "1"],
-        ["density", "--Z", "92", "--grid-points", "3"],
-        ["density", "--Z", "92", "--grid-points", "500"],
-        ["carpet", "--Z", "92", "--samples", "3", "--grid-points", "0"],
-        ["carpet", "--Z", "92", "--samples", "3", "--grid-points", "1"],
-        ["carpet", "--Z", "92", "--samples", "3", "--grid-points", "3"],
-        ["carpet", "--Z", "92", "--samples", "3", "--grid-points", "500"],
+    @pytest.mark.parametrize("args, error", [
+        (["observables", "--Z", "92", "--t-max", "inf"], "RwpError"),
+        (["observables", "--Z", "92", "--sigma", "nan"], "RwpError"),
+        (["observables", "--Z", "92", "--a", "nan"], "RwpError"),
+        (["observables", "--Z", "92", "--samples", "-3"], "RwpError"),
+        (["carpet", "--Z", "92", "--samples", "0"], "RwpError"),
+        (["carpet", "--figure", "6", "--t-max", "inf", "--samples", "3",
+          "--grid-points", "501"], "RwpError"),
+        (["density", "--Z", "92", "--times", "0", "nan"], "RwpError"),
+        (["density", "--Z", "92", "--grid-points", "0"], "RwpError"),
+        (["density", "--Z", "92", "--grid-points", "1"], "RwpError"),
+        (["density", "--Z", "92", "--grid-points", "3"], "RwpError"),
+        (["density", "--Z", "92", "--grid-points", "500"], "RwpError"),
+        (["carpet", "--Z", "92", "--samples", "3", "--grid-points", "0"],
+         "RwpError"),
+        (["carpet", "--Z", "92", "--samples", "3", "--grid-points", "1"],
+         "RwpError"),
+        (["carpet", "--Z", "92", "--samples", "3", "--grid-points", "3"],
+         "RwpError"),
+        (["carpet", "--Z", "92", "--samples", "3", "--grid-points", "500"],
+         "RwpError"),
         # finite in the chosen unit, infinite once scaled to atomic units
-        ["observables", "--Z", "92", "--t-max", "1e308", "--samples", "3"],
-        ["density", "--Z", "92", "--times", "0", "1e308"],
-        ["carpet", "--Z", "92", "--t-max", "1e308", "--samples", "3",
-         "--grid-points", "501"],
+        (["observables", "--Z", "92", "--t-max", "1e308", "--samples", "3"],
+         "RwpError"),
+        (["density", "--Z", "92", "--times", "0", "1e308"], "RwpError"),
+        (["carpet", "--Z", "92", "--t-max", "1e308", "--samples", "3",
+          "--grid-points", "501"], "RwpError"),
+        # a time axis that does not ascend
+        (["carpet", "--Z", "92", "--t-max", "0", "--samples", "3",
+          "--grid-points", "501"], "InvalidRange"),
+        (["carpet", "--Z", "92", "--t-max", "-1", "--samples", "3",
+          "--grid-points", "501"], "InvalidRange"),
+        # |a|^2 overflows
+        (["observables", "--Z", "92", "--a", "1e200", "--b", "1",
+          "--samples", "3"], "NonNormalizedSpinor"),
+        (["timescales", "--Z", "92", "--scan", "150", "20"], "RwpError"),
+        # t finite in atomic units, the phase eps t is not (t_cl < 1 au)
+        (["observables", "--Z", "92", "--n-av", "2", "--t-max", "1e308",
+          "--samples", "3"], "RwpError"),
+        (["density", "--Z", "92", "--n-av", "2", "--times", "1e308",
+          "--grid-points", "501"], "RwpError"),
     ], ids=["t-max-inf", "sigma-nan", "a-nan", "samples-negative",
             "carpet-samples-zero", "carpet-t-max-inf", "times-nan",
             "density-grid-points-0", "density-grid-points-1",
@@ -423,11 +448,13 @@ class TestBadInput:
             "carpet-grid-points-0", "carpet-grid-points-1",
             "carpet-grid-points-3", "carpet-grid-points-500",
             "t-max-overflows-au", "times-overflow-au",
-            "carpet-t-max-overflows-au"])
-    def test_rejected_before_writing(self, tmp_path, capsys, args):
+            "carpet-t-max-overflows-au", "carpet-t-max-zero",
+            "carpet-t-max-negative", "a-square-overflows", "scan-reversed",
+            "phase-overflows", "density-phase-overflows"])
+    def test_rejected_before_writing(self, tmp_path, capsys, args, error):
         assert main(args + ["--out", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("rwp: error: RwpError: ")
+        assert err.startswith(f"rwp: error: {error}: ")
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
@@ -438,6 +465,24 @@ class TestBadInput:
                      "--out", str(tmp_path / "o.csv")]) == 1
         assert "t_max must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("carpet", "format = xyz", "format must be in"),
+        ("energies", "t_unit = xyz", "t_unit must be in"),
+    ], ids=["format", "t-unit"])
+    def test_config_file_choice_rejected(self, tmp_path, capsys, command,
+                                         line, message):
+        # the flags' choices= reject these; a config file must too
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"Z = 92\nsamples = 3\ngrid_points = 501\n{line}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", str(cfg),
+                     "--out", str(out / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rwp: error: RwpError: ") and message in err
+        assert len(err.splitlines()) == 1
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
         ["observables", "--Z", "92", "--samples", "3"],
@@ -450,8 +495,84 @@ class TestBadInput:
         assert err.startswith("rwp: error: FileNotFoundError: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("bounds", [[], ["--n-min", "78", "--n-max", "82"]],
+                             ids=["default-bounds", "explicit-bounds"])
+    @pytest.mark.parametrize("command", ["observables", "density"])
+    def test_tiny_sigma_is_one_n_packet(self, tmp_path, command, bounds):
+        # sigma^2 underflows to 0; all weight sits on n = n_av, and with
+        # explicit bounds ((n - n_av)/(2 sigma))^2 overflows elsewhere
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--Z", "92", "--sigma", "1e-200", *bounds,
+                         "--samples", "3", "--grid-points", "501",
+                         "--out", str(out)]) == 0
+        _, data = read_csv(out)
+        assert np.all(np.isfinite(data))
+
     def test_cli_subprocess_has_no_traceback(self, tmp_path):
         proc = run_cli(["-m", "rwp.cli", "carpet", "--Z", "92", "--samples", "0",
                         "--out", str(tmp_path / "c.pgm")])
         assert proc.returncode == 1
         assert proc.stderr == "rwp: error: RwpError: samples must be >= 1, got 0\n"
+
+
+USUAL = {"Z": ["1", "30", "92", "137"], "l": ["1", "2", "5"],
+         "n-av": ["2", "10", "80", "200"], "sigma": ["0.3", "1", "2.5", "10"],
+         "t": ["0.5", "-3", "1e5"], "samples": ["1", "2", "5"]}
+HALF = repr(1.0 / math.sqrt(2.0))
+SPINORS = [("0", "1"), ("0.6", "0.8"), ("-0.6", "0.8"), (HALF, HALF),
+           ("1", "0"), ("1e-200", "1")]
+# text the int flags must reject through argparse, and float edge cases
+EXTREME = ["0", "-1", "nan", "inf", "-inf", "1e-200", "1e308"]
+
+
+class TestProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(command=st.sampled_from(["observables", "density", "carpet"]),
+           usual=st.fixed_dictionaries(
+               {key: st.sampled_from(values) for key, values in USUAL.items()}),
+           spinor=st.sampled_from(SPINORS),
+           # sigma = 1e308 asks for an n range of unbounded size, which no
+           # check limits yet
+           extreme=st.dictionaries(st.sampled_from([*USUAL, "a", "b"]),
+                                   st.sampled_from(EXTREME), max_size=2)
+           .filter(lambda d: d.get("sigma") != "1e308"))
+    def test_any_input_exits_cleanly(self, command, usual, spinor, extreme):
+        """Up to two settings at an extreme value: exit 0 with finite output,
+        exit 1 with one line and no file, or exit 2 from argparse; never a
+        warning or a traceback."""
+        a, b = spinor
+        flags = {**usual, "a": a, "b": b, **extreme}
+        flags["times" if command == "density" else "t-max"] = flags.pop("t")
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, *(f"--{key}={value}" for key, value in flags.items()),
+                    "--grid-points=501", f"--out={tmp}/out.csv"]
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert [str(w.message) for w in caught] == []
+            files = sorted(Path(tmp).iterdir())
+            event(f"exit {code} {command}")
+            if code != 0:
+                assert files == []
+                if code == 1:
+                    assert err.getvalue().startswith("rwp: error: ")
+                    assert len(err.getvalue().splitlines()) == 1
+                else:
+                    assert code == 2
+                return
+            assert files
+            for path in files:
+                header, data = read_csv(path)
+                assert np.all(np.isfinite(data))
+            if command == "observables":
+                row = dict(zip(header, data.T))
+                assert np.all(np.abs(row["N1"] + row["N2"] - 1.0) <= 1e-12)
+                assert np.all(row["slen"] <= 1.0 + 1e-12)

@@ -100,6 +100,19 @@ class TestEnergyTable:
         p = PhysicalParams(Z=1, l=1)
         with pytest.raises(InvalidQuantumNumbers):
             energy_table(p, 1, 5)
+
+    @pytest.mark.parametrize("Z", [1, 30, 92, 136])
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    def test_columns_equal_scalar_calls(self, Z, l):
+        # one scalar call per n is the reference for the array columns
+        p = PhysicalParams(Z=Z, l=l)
+        table = energy_table(p, l + 1, 410)
+        ns = range(l + 1, 411)
+        assert np.array_equal(table.eps_plus,
+                              [dirac_energy(p, n, l + 0.5) for n in ns])
+        assert np.array_equal(table.eps_minus,
+                              [dirac_energy(p, n, l - 0.5) for n in ns])
+        assert np.array_equal(table.omega, [energy_splitting(p, n) for n in ns])
         with pytest.raises(InvalidQuantumNumbers):
             energy_table(p, 9, 5)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rwp.core import PhysicalParams, energy_table, t_ls, time_scales
-from rwp.errors import EmptyWindow, RangeMismatch
+from rwp.errors import EmptyWindow, InvalidRange, RangeMismatch
 from rwp.observables import (autocorrelation, carpet, component_norms,
                              densities, detect_revivals, observable_series,
                              spin_expectations, spin_length)
@@ -315,7 +315,7 @@ class TestSeriesAndCarpet:
     def test_carpet_rejects_bad_time_axis(self, down, u92_grid, u92_table,
                                           t_axis):
         packet, energies = down
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidRange):
             carpet(packet, energies, u92_table, u92_grid.r, np.array(t_axis))
 
 

@@ -27,6 +27,12 @@ class TestGrid:
         assert g.r_max == pytest.approx(25000.0)
         g = make_grid(PhysicalParams(Z=92, l=1), 100, 4001)
         assert g.r_max == pytest.approx(2.5 * 100 ** 2 / 92)
+        # below n_max = 80 the margin past the turning point is 40 n_max/Z
+        g = make_grid(PhysicalParams(Z=1, l=1), 10, 4001)
+        assert g.r_max == pytest.approx(600.0)
+        g = make_grid(PhysicalParams(Z=92, l=1), 79, 4001)
+        assert g.r_max == pytest.approx((2 * 79 + 40) * 79 / 92)
+        assert outer_radius(PhysicalParams(Z=92, l=1), 80) == 2.5 * 80 ** 2 / 92
 
     def test_weights_integrate_constant(self):
         g = make_grid(PhysicalParams(Z=1, l=1), 50, 1001)
@@ -133,7 +139,10 @@ class TestRadialTable:
         gram = weighted @ u92_table.values.T
         assert np.abs(gram - np.eye(len(u92_table.n_range))).max() < 1e-8
 
-    @pytest.mark.parametrize("Z, n_min, n_max", [(92, 156, 200), (1, 390, 410)])
+    @pytest.mark.parametrize("Z, n_min, n_max", [
+        (92, 156, 200), (1, 390, 410),
+        # small n, where a margin of n_max^2/(2Z) cut off the tail of R_{n_max}
+        (92, 2, 10), (92, 2, 30), (92, 20, 40), (1, 2, 10)])
     def test_gram_identity_rydberg_default_grid(self, Z, n_min, n_max):
         p = PhysicalParams(Z=Z, l=1)
         g = make_grid(p, n_max)
@@ -142,8 +151,8 @@ class TestRadialTable:
         assert np.abs(gram - np.eye(len(vals))).max() <= 1e-8
 
     def test_single_row(self):
-        # Rydberg regime: the 25% margin past the turning point only holds
-        # the tunneling tail below 1e-8 for large n
+        # Rydberg regime: at n = 80 the axis ends 25% past the turning point,
+        # which holds the tunneling tail below 1e-8
         p = PhysicalParams(Z=1, l=1)
         g = make_grid(p, 80)
         t = radial_table(p, 80, 80, g.r)
