@@ -18,8 +18,9 @@ from .observables import (CarpetGrid, DensitySnapshot, ObservableSeries,
                           autocorrelation, carpet, component_norms, densities,
                           detect_revivals, observable_series, spin_expectations,
                           spin_length)
-from .packet import (Packet, PacketSpec, SpinorAmplitudes, amplitudes_at,
-                     build_packet, gaussian_weights, truncation_bounds)
+from .packet import (N_LIMIT, Packet, PacketSpec, SpinorAmplitudes,
+                     amplitudes_at, build_packet, gaussian_weights,
+                     truncation_bounds)
 from .radial import (RadialGrid, RadialTable, inner_product, make_grid,
                      outer_radius, radial_eval, radial_table)
 

@@ -32,6 +32,12 @@ from .errors import (EmptyRange, InvalidRange, NonNormalizedSpinor,
                      RangeMismatch)
 
 SPINOR_NORM_TOL = 1e-9
+# Largest n a packet may reach.  Every table holds one row per n and the
+# radial recurrence runs n - l - 1 steps per radius, so this bounds a run's
+# memory and time; it sits well above n = 410, the largest n whose radial
+# rows the tests hold to Gram <= 1e-8, and far below ranges numpy cannot
+# allocate or round(n_av + 5 sigma) cannot represent.
+N_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,22 @@ def gaussian_weights(n_av: int, sigma: float, n_min: int, n_max: int) -> np.ndar
 
 def truncation_bounds(spec: PacketSpec, l: int) -> tuple[int, int]:
     """(n_min, n_max) of the packet: the spec's bounds where given, else
-    round(n_av -/+ 5 sigma), with n_min no lower than l+1."""
+    round(n_av -/+ 5 sigma), with n_min no lower than l+1.  InvalidRange if
+    5 sigma is not finite or a bound exceeds N_LIMIT, before any table is
+    allocated."""
     n_min, n_max = spec.n_min, spec.n_max
-    if n_min is None:
-        n_min = max(l + 1, round(spec.n_av - 5.0 * spec.sigma))
-    if n_max is None:
-        n_max = round(spec.n_av + 5.0 * spec.sigma)
+    spread = 5.0 * spec.sigma
+    finite = math.isfinite(spread) or (n_min is not None and n_max is not None)
+    if finite and n_min is None:
+        n_min = max(l + 1, round(spec.n_av - spread))
+    if finite and n_max is None:
+        n_max = round(spec.n_av + spread)
+    if not finite or max(n_min, n_max) > N_LIMIT:
+        raise InvalidRange(
+            f"packet bounds must be finite and <= N_LIMIT = {N_LIMIT}, got "
+            f"n_av={spec.n_av}, sigma={spec.sigma:g}, n_min={spec.n_min}, "
+            f"n_max={spec.n_max}"
+        )
     return n_min, n_max
 
 

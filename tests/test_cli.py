@@ -441,6 +441,9 @@ class TestBadInput:
           "--samples", "3"], "RwpError"),
         (["density", "--Z", "92", "--n-av", "2", "--times", "1e308",
           "--grid-points", "501"], "RwpError"),
+        # n_av + 5 sigma above N_LIMIT, then not even finite
+        (["energies", "--Z", "92", "--sigma", "1e300"], "InvalidRange"),
+        (["density", "--Z", "92", "--sigma", "1e308"], "InvalidRange"),
     ], ids=["t-max-inf", "sigma-nan", "a-nan", "samples-negative",
             "carpet-samples-zero", "carpet-t-max-inf", "times-nan",
             "density-grid-points-0", "density-grid-points-1",
@@ -450,7 +453,8 @@ class TestBadInput:
             "t-max-overflows-au", "times-overflow-au",
             "carpet-t-max-overflows-au", "carpet-t-max-zero",
             "carpet-t-max-negative", "a-square-overflows", "scan-reversed",
-            "phase-overflows", "density-phase-overflows"])
+            "phase-overflows", "density-phase-overflows", "sigma-1e300",
+            "sigma-1e308"])
     def test_rejected_before_writing(self, tmp_path, capsys, args, error):
         assert main(args + ["--out", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err
@@ -533,11 +537,8 @@ class TestProperties:
            usual=st.fixed_dictionaries(
                {key: st.sampled_from(values) for key, values in USUAL.items()}),
            spinor=st.sampled_from(SPINORS),
-           # sigma = 1e308 asks for an n range of unbounded size, which no
-           # check limits yet
            extreme=st.dictionaries(st.sampled_from([*USUAL, "a", "b"]),
-                                   st.sampled_from(EXTREME), max_size=2)
-           .filter(lambda d: d.get("sigma") != "1e308"))
+                                   st.sampled_from(EXTREME), max_size=2))
     def test_any_input_exits_cleanly(self, command, usual, spinor, extreme):
         """Up to two settings at an extreme value: exit 0 with finite output,
         exit 1 with one line and no file, or exit 2 from argparse; never a

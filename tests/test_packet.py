@@ -9,8 +9,8 @@ import pytest
 from rwp.core import PhysicalParams, energy_table
 from rwp.errors import (EmptyRange, InvalidRange, NonNormalizedSpinor,
                         RangeMismatch)
-from rwp.packet import (PacketSpec, amplitudes_at, build_packet,
-                        gaussian_weights)
+from rwp.packet import (N_LIMIT, PacketSpec, amplitudes_at, build_packet,
+                        gaussian_weights, truncation_bounds)
 
 
 class TestGaussianWeights:
@@ -56,6 +56,28 @@ class TestBuildPacket:
         with pytest.raises(InvalidRange):
             build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.0, b=1.0,
                                     n_min=85, n_max=90), 1)
+
+    @pytest.mark.parametrize("spec, bounds", [
+        # round(1000.5) = 1000: the rounded bound is what counts
+        (PacketSpec(n_av=N_LIMIT - 10, sigma=2.1), (N_LIMIT - 20, N_LIMIT)),
+        (PacketSpec(n_av=80, sigma=2.0, n_min=2, n_max=N_LIMIT), (2, N_LIMIT)),
+        (PacketSpec(n_av=80, sigma=1e308, n_min=2, n_max=90), (2, 90)),
+    ])
+    def test_bounds_up_to_n_limit(self, spec, bounds):
+        assert truncation_bounds(spec, 1) == bounds
+
+    @pytest.mark.parametrize("spec", [
+        PacketSpec(n_av=N_LIMIT - 10, sigma=2.2),
+        PacketSpec(n_av=80, sigma=2.0, n_max=N_LIMIT + 1),
+        PacketSpec(n_av=80, sigma=2.0, n_min=N_LIMIT + 1, n_max=N_LIMIT + 5),
+        PacketSpec(n_av=80, sigma=1e300),
+        PacketSpec(n_av=80, sigma=1e308, n_max=90),
+        PacketSpec(n_av=80, sigma=math.nan),
+    ], ids=["rounded-above", "n-max", "n-min", "sigma-1e300", "sigma-1e308",
+            "sigma-nan"])
+    def test_bounds_above_n_limit_rejected(self, spec):
+        with pytest.raises(InvalidRange, match="N_LIMIT"):
+            truncation_bounds(spec, 1)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Radial wavefunctions, grids and quadrature."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,62 @@ def reference_radial(Z, n, l, r):
     norm = math.sqrt((2.0 * Z / n) ** 3 * math.factorial(n - l - 1)
                      / (2.0 * n * math.factorial(n + l)))
     return norm * np.exp(-rho / 2.0) * rho ** l * eval_genlaguerre(n - l - 1, 2 * l + 1, rho)
+
+
+# radial_eval as the package had it before radial_table ran all n at once:
+# one row per call.  The bit-for-bit reference of the blocked recurrence.
+_LN2 = math.log(2.0)
+_RESCALE_POW = 500
+_RESCALE_UP = 2.0 ** _RESCALE_POW
+_RESCALE_DOWN = 2.0 ** -_RESCALE_POW
+
+
+def ref_radial_eval(Z: int, n: int, l: int, r) -> np.ndarray:
+    if n < l + 1 or l < 0 or Z < 1:
+        raise InvalidQuantumNumbers(f"invalid (Z, n, l) = ({Z}, {n}, {l})")
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(r_arr < 0):
+        raise InvalidQuantumNumbers("r must be >= 0")
+    rho = 2.0 * Z * r_arr / n
+
+    lognorm = (1.5 * math.log(2.0 * Z / n)
+               + 0.5 * (math.lgamma(n - l) - math.log(2.0 * n)
+                        - math.lgamma(n + l + 1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = lognorm - 0.5 * rho + l * np.log(rho)
+    if l == 0:
+        logw = lognorm - 0.5 * rho  # rho^0 = 1 even at r = 0
+    finite = np.isfinite(logw)
+    expo = np.zeros(len(rho), dtype=np.int64)
+    expo[finite] = np.floor(logw[finite] / _LN2).astype(np.int64)
+    mant = np.zeros(len(rho))
+    mant[finite] = np.exp(logw[finite] - expo[finite] * _LN2)
+
+    alpha = 2 * l + 1
+    k_top = n - l - 1
+    f_prev = mant.copy()  # degree 0: L_0 = 1
+    if k_top == 0:
+        out = np.ldexp(f_prev, expo)
+    else:
+        f_cur = mant * (1.0 + alpha - rho)
+        for k in range(1, k_top):
+            f_next = ((2.0 * k + 1.0 + alpha - rho) * f_cur
+                      - (k + alpha) * f_prev) / (k + 1.0)
+            f_prev, f_cur = f_cur, f_next
+            big = np.abs(f_cur) > _RESCALE_UP
+            if big.any():
+                f_cur[big] *= _RESCALE_DOWN
+                f_prev[big] *= _RESCALE_DOWN
+                expo[big] += _RESCALE_POW
+            tiny = (np.abs(f_cur) < _RESCALE_DOWN) & (f_cur != 0.0)
+            if tiny.any():
+                f_cur[tiny] *= _RESCALE_UP
+                f_prev[tiny] *= _RESCALE_UP
+                expo[tiny] -= _RESCALE_POW
+        out = np.ldexp(f_cur, expo)
+    if np.isscalar(r) or np.ndim(r) == 0:
+        return float(out[0])
+    return out
 
 
 class TestGrid:
@@ -127,8 +184,57 @@ class TestRadialEval:
         v = radial_eval(1, 3, 1, 2.5)
         assert isinstance(v, float)
 
+    @pytest.mark.parametrize("Z, n, l, r", [
+        (1, 3, 1, 2.5), (1, 1, 0, 1.0), (1, 2, 1, 0.0), (92, 200, 1, 0.3),
+        (1, 410, 2, 3.0e5)])
+    def test_scalar_matches_reference(self, Z, n, l, r):
+        v = radial_eval(Z, n, l, r)
+        assert isinstance(v, float)
+        assert v == ref_radial_eval(Z, n, l, r)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_radius_rejected(self, bad):
+        with pytest.raises(InvalidQuantumNumbers, match="finite"):
+            radial_eval(1, 3, 1, bad)
+        with pytest.raises(InvalidQuantumNumbers, match="finite"):
+            radial_eval(1, 3, 1, np.array([1.0, bad, 2.0]))
+        with pytest.raises(InvalidQuantumNumbers, match="finite"):
+            radial_table(PhysicalParams(Z=92, l=1), 2, 5,
+                         np.array([0.0, 1.0, bad]))
+
+
+def _axes(params, n_max):
+    """The mapped quadrature grid, the carpet's uniform axis and an unsorted
+    axis over two column blocks with r = 0, -0.0, a repeated radius and a
+    radius whose rho underflows to 0."""
+    uniform = np.linspace(0.0, outer_radius(params, n_max), DEFAULT_GRID_POINTS)
+    rep = uniform[777]
+    unsorted = np.random.default_rng(n_max).permutation(np.concatenate(
+        [uniform[1:1500], [0.0, 0.0, -0.0, 5e-324, rep, rep]]))
+    return {"grid": make_grid(params, n_max).r, "uniform": uniform,
+            "unsorted": unsorted}
+
 
 class TestRadialTable:
+    @pytest.mark.parametrize("Z, n_min, n_max", [
+        (92, None, None), (92, 70, 90), (92, 156, 200),
+        (1, None, None), (1, 70, 90), (1, 390, 410)],
+        ids=["92-lowest", "92-70-90", "92-156-200",
+             "1-lowest", "1-70-90", "1-390-410"])
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_rows_bit_identical_to_reference(self, Z, n_min, n_max, l):
+        # PhysicalParams needs l >= 1 (both j = l +/- 1/2); radial_table
+        # reads only Z and l, so a stand-in carries l = 0
+        params = SimpleNamespace(Z=Z, l=l)
+        if n_min is None:  # rows with k_top = 0 and 1 first
+            n_min, n_max = l + 1, l + 12
+        for r in _axes(params, n_max).values():
+            got = radial_table(params, n_min, n_max, r).values
+            ref = np.vstack([ref_radial_eval(Z, n, l, r)
+                             for n in range(n_min, n_max + 1)])
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
     def test_norms(self, u92, u92_grid, u92_table):
         for i in range(len(u92_table.n_range)):
             row = u92_table.values[i]
