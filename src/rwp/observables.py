@@ -1,10 +1,10 @@
 """Measurable quantities of the evolving packet.
 
 Component densities, the autocorrelation function, spin expectation values,
-component norms, space-time carpet grids and revival-peak detection.  Spin
-expectations are computed directly from the channel amplitudes; the closed
-forms in terms of sum w_n^2 cos(omega_n t) are kept in the test suite as an
-independent oracle.
+component norms, space-time carpet grids and revival-peak detection.  The
+scalar observables come from closed forms in w_n^2 and the spin beat
+(``_closed_forms``, the production path); ``spin_expectations`` on the channel
+amplitudes is their oracle in the tests.  Densities need the amplitudes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import EnergyTable
 from .errors import EmptyWindow, InvalidRange, RangeMismatch
-from .packet import Packet, SpinorAmplitudes, amplitudes_at, _select_energies
+from .packet import Packet, SpinorAmplitudes, _phases, amplitudes_at
 from .radial import RadialGrid, RadialTable
 
 
@@ -101,24 +101,33 @@ def densities(amps: SpinorAmplitudes, table: RadialTable,
     return DensitySnapshot(t=amps.t, rho1=rho1, rho2=rho2, grid=grid)
 
 
-def autocorrelation(packet: Packet, energies: EnergyTable, t):
-    """Overlap <Psi(t)|Psi(0)>; scalar t gives a complex scalar, array an array.
+def _closed_forms(packet: Packet, energies: EnergyTable, t):
+    """(A, sum_n conj(c1) c2, N2) on t's shape.  With W = sum w_n^2 and
+    S = sum w_n^2 beat, from the pair (e_+, beat) of ``_phases``:
 
-    A(t) = sum_n w_n^2 [ (|a|^2 + |b|^2/(2l+1)) e^{-i eps_+ t}
-                         + |b|^2 (2l/(2l+1)) e^{-i eps_- t} ].
+        A = sum_n w_n^2 e_+ [|a|^2 + |b|^2 (1 + 2l beat)/(2l+1)],
+        sum_n conj(c1) c2 = conj(a) b (W + 2l S)/(2l+1),
+        N2 = |b|^2 (W (1 + 4l^2) + 4l Re S)/(2l+1)^2,
+
+    summed over n by einsum, not BLAS, so no byte depends on its threads.
     """
-    eps_p, eps_m = _select_energies(packet, energies)
-    l = energies.params.l
-    a2 = abs(packet.spec.a) ** 2
-    b2 = abs(packet.spec.b) ** 2
-    w2 = packet.weights ** 2
-    tt = np.asarray(t, dtype=float)
-    scalar = tt.ndim == 0
-    tt = np.atleast_1d(tt)
-    ph_p = np.exp(-1j * np.outer(tt, eps_p))
-    ph_m = np.exp(-1j * np.outer(tt, eps_m))
-    out = ph_p @ (w2 * (a2 + b2 / (2 * l + 1))) + ph_m @ (w2 * b2 * 2 * l / (2 * l + 1))
-    return complex(out[0]) if scalar else out
+    e_plus, beat = _phases(packet, energies, t)
+    a, b, l = complex(packet.spec.a), complex(packet.spec.b), energies.params.l
+    w2, b2 = packet.weights ** 2, abs(b) ** 2
+    w_sum, s = np.sum(w2), np.einsum("...n,n->...", beat, w2)
+    amp = np.einsum("...n,...n->...", e_plus,
+                    w2 * (abs(a) ** 2 + b2 / (2 * l + 1))
+                    + (w2 * (b2 * 2 * l / (2 * l + 1))) * beat)
+    cross = a.conjugate() * b * (w_sum + 2.0 * l * s) / (2 * l + 1)
+    n2 = b2 * (w_sum * (1.0 + 4.0 * l * l) + 4.0 * l * s.real) / (2 * l + 1) ** 2
+    return amp, cross, n2
+
+
+def autocorrelation(packet: Packet, energies: EnergyTable, t):
+    """Overlap <Psi(0)|Psi(t)> (phases e^{-i eps t}) from ``_closed_forms``: a
+    complex scalar at scalar t, an array on an array of times."""
+    amp = _closed_forms(packet, energies, t)[0]
+    return complex(amp) if np.ndim(amp) == 0 else amp
 
 
 def spin_expectations(amps: SpinorAmplitudes, l: int):
@@ -138,20 +147,11 @@ def spin_expectations(amps: SpinorAmplitudes, l: int):
     return sx, sy, sz
 
 
-def component_norms(packet: Packet, energies: EnergyTable, t, l: int):
-    """(N1, N2): probability carried by the upper / lower spinor component.
-
-    N2(t) = |b|^2/(2l+1)^2 sum_n w_n^2 (1 + 4 l^2 + 4 l cos(omega_n t)),
-    and N1 = 1 - N2 exactly (unitarity).  A scalar t gives two floats, a 1-D
-    array of times two arrays.
-    """
-    eps_p, eps_m = _select_energies(packet, energies)
-    omega = eps_p - eps_m
-    b2 = abs(packet.spec.b) ** 2
-    w2 = packet.weights ** 2
-    phase = np.multiply.outer(np.asarray(t, dtype=float), omega)
-    n2 = b2 / (2 * l + 1) ** 2 * np.sum(
-        w2 * (1.0 + 4.0 * l * l + 4.0 * l * np.cos(phase)), axis=-1)
+def component_norms(packet: Packet, energies: EnergyTable, t):
+    """(N1, N2): probability carried by the upper / lower spinor component,
+    N2 from ``_closed_forms`` with the table's l and N1 = 1 - N2 (unitarity).
+    A scalar t gives two floats, a 1-D array of times two arrays."""
+    n2 = _closed_forms(packet, energies, t)[2]
     return 1.0 - n2, n2
 
 
@@ -162,15 +162,13 @@ def spin_length(sx: float, sy: float, sz: float) -> float:
 
 def observable_series(packet: Packet, energies: EnergyTable,
                       times) -> ObservableSeries:
-    """Evaluate every scalar observable on a time axis."""
+    """Evaluate every scalar observable on a time axis, from the closed forms."""
     times = np.asarray(times, dtype=float)
-    l = energies.params.l
-    A = autocorrelation(packet, energies, times)
-    sx, sy, sz = spin_expectations(amplitudes_at(packet, energies, times), l)
-    n1, n2 = component_norms(packet, energies, times, l)
+    A, cross, n2 = _closed_forms(packet, energies, times)
+    sx, sy, sz = 2.0 * cross.real, 2.0 * cross.imag, 1.0 - 2.0 * n2
     slen = np.sqrt(sx ** 2 + sy ** 2 + sz ** 2)
-    return ObservableSeries(t=times, A=A, asq=np.abs(A) ** 2,
-                            sx=sx, sy=sy, sz=sz, slen=slen, N1=n1, N2=n2)
+    return ObservableSeries(t=times, A=A, asq=np.abs(A) ** 2, sx=sx, sy=sy,
+                            sz=sz, slen=slen, N1=1.0 - n2, N2=n2)
 
 
 def carpet(packet: Packet, energies: EnergyTable, table: RadialTable,

@@ -13,10 +13,11 @@ with
 
     c1 = w_n a e_+,
     d1 = w_n b sqrt(2l)/(2l+1) (e_+ - e_-),
-    c2 = w_n b 1/(2l+1) (e_+ + 2l e_-),        e_± = exp(-i eps_± t / hbar).
+    c2 = w_n b 1/(2l+1) (e_+ + 2l e_-),        e_+ = exp(-i eps_+ t / hbar),
 
-|c1|^2 + |d1|^2 + |c2|^2 = w_n^2 (|a|^2 + |b|^2) holds per n as an algebraic
-identity, so the evolution is exactly unitary at any time.
+and e_- = e_+ exp(i omega t) with the table's cancellation-free omega, never
+exp(-i eps_- t).  |c1|^2 + |d1|^2 + |c2|^2 = w_n^2 (|a|^2 + |b|^2) holds per n
+as an algebraic identity, so the evolution is exactly unitary at any time.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def build_packet(spec: PacketSpec, l: int) -> Packet:
     """Resolve the truncation bounds and build the weights."""
     # a huge |a| makes |a|*|a| inf (rejected below); |a|**2 raises OverflowError
     norm = abs(spec.a) * abs(spec.a) + abs(spec.b) * abs(spec.b)
-    if abs(norm - 1.0) > SPINOR_NORM_TOL:
+    if not abs(norm - 1.0) <= SPINOR_NORM_TOL:  # NaN fails too
         raise NonNormalizedSpinor(f"|a|^2 + |b|^2 = {norm} != 1")
     n_min, n_max = truncation_bounds(spec, l)
     if not (l + 1 <= n_min <= spec.n_av <= n_max):
@@ -137,36 +138,37 @@ def build_packet(spec: PacketSpec, l: int) -> Packet:
             f"n_min={n_min}, n_av={spec.n_av}, n_max={n_max}"
         )
     w = gaussian_weights(spec.n_av, spec.sigma, n_min, n_max)
-    resolved = replace(spec, n_min=n_min, n_max=n_max)
+    resolved = replace(spec, a=spec.a / math.sqrt(norm),
+                       b=spec.b / math.sqrt(norm), n_min=n_min, n_max=n_max)
     return Packet(spec=resolved, n=np.arange(n_min, n_max + 1), weights=w)
 
 
-def _select_energies(packet: Packet, energies: EnergyTable):
+def _phases(packet: Packet, energies: EnergyTable, t):
+    """(e_+, beat) = (exp(-i eps_+ t), exp(i omega t)) on t's shape plus the
+    packet's n axis, with omega the table's splitting; e_- = e_+ beat."""
     if energies.n_min > packet.n_min or energies.n_max < packet.n_max:
         raise RangeMismatch(
             f"energy table covers [{energies.n_min}, {energies.n_max}], "
             f"packet needs [{packet.n_min}, {packet.n_max}]"
         )
-    lo = packet.n_min - energies.n_min
-    hi = lo + len(packet.n)
-    return energies.eps_plus[lo:hi], energies.eps_minus[lo:hi]
+    rows = slice(packet.n_min - energies.n_min, packet.n_max - energies.n_min + 1)
+    tt = np.asarray(t, dtype=float)
+    return (np.exp(-1j * np.multiply.outer(tt, energies.eps_plus[rows])),
+            np.exp(1j * np.multiply.outer(tt, energies.omega[rows])))
 
 
 def amplitudes_at(packet: Packet, energies: EnergyTable, t) -> SpinorAmplitudes:
     """Exact channel amplitudes at time t (atomic units), from reduced energies.
 
     ``t`` is a scalar or a 1-D array of times.  An array gives the channels a
-    leading time axis, built from one (T x N) phase matrix per branch; row i
+    leading time axis, built from one (T x N) phase matrix per factor; row i
     equals the scalar call at t[i] bit for bit.
     """
-    eps_p, eps_m = _select_energies(packet, energies)
-    l = energies.params.l
-    w = packet.weights
-    a = complex(packet.spec.a)
-    b = complex(packet.spec.b)
+    ph_p, beat = _phases(packet, energies, t)
+    ph_m = ph_p * beat
+    l, w = energies.params.l, packet.weights
+    a, b = complex(packet.spec.a), complex(packet.spec.b)
     tt = np.asarray(t, dtype=float)
-    ph_p = np.exp(-1j * np.multiply.outer(tt, eps_p))
-    ph_m = np.exp(-1j * np.multiply.outer(tt, eps_m))
     c1 = w * a * ph_p
     d1 = w * b * (math.sqrt(2.0 * l) / (2 * l + 1)) * (ph_p - ph_m)
     c2 = w * b * (1.0 / (2 * l + 1)) * (ph_p + 2.0 * l * ph_m)

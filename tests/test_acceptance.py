@@ -91,7 +91,7 @@ def test_criterion_4_unitarity_on_the_grid(fig4):
         snap = densities(amplitudes_at(packet, energies, t), table, grid)
         worst_norm = max(worst_norm, abs(snap.total_norm() - 1.0))
         n2_quad = float(np.sum(grid.quad_w * snap.rho2))
-        n2_analytic = component_norms(packet, energies, t, params.l)[1]
+        n2_analytic = component_norms(packet, energies, t)[1]
         worst_n2 = max(worst_n2, abs(n2_quad - n2_analytic))
     report(4, worst_norm < 1e-6 and worst_n2 < 1e-6,
            f"quadrature norm dev {worst_norm:.2e}, "
@@ -140,7 +140,7 @@ def test_criterion_8_component_transfer():
     energies = energy_table(params, packet.n_min, packet.n_max)
     tls = t_ls(params, 80)
     t = np.linspace(0.0, 1.2 * tls, 4001)
-    n2 = np.array([component_norms(packet, energies, ti, params.l)[1]
+    n2 = np.array([component_norms(packet, energies, ti)[1]
                    for ti in t])
     minima = detect_revivals(t, -n2, prominence=0.1)
     assert minima
@@ -214,7 +214,7 @@ def test_criterion_10_property_suite():
     for t in rng.uniform(0.0, 1e6, size=10):
         sx, sy, sz = spin_expectations(amplitudes_at(up, energies, t),
                                        params.l)
-        n1, n2 = component_norms(up, energies, t, params.l)
+        n1, n2 = component_norms(up, energies, t)
         dev = max(dev, abs(sx), abs(sy), abs(sz - 1.0), abs(n1 - 1.0),
                   abs(n2))
     checks.append(("spin-up stationarity", dev < 1e-13, dev))

@@ -158,6 +158,17 @@ class TestObservables:
         row = dict(zip(header, data[0]))
         assert row["sx"] == pytest.approx(1.0, abs=1e-9)  # a = b = 1/sqrt(2)
 
+    def test_near_unit_spinor_renormalized(self, tmp_path):
+        # |a|^2 + |b|^2 = 1 + 8e-10 passes the 1e-9 tolerance; the packet
+        # divides it out, so the unit identities hold to rounding
+        out = tmp_path / "o.csv"
+        assert main(["observables", "--Z", "92", "--a", "0.6", "--b",
+                     "0.8000000005", "--out", str(out)]) == 0
+        header, data = read_csv(out)
+        col = dict(zip(header, data.T))
+        assert col["slen"].max() <= 1.0 + 1e-12
+        assert abs(col["asq"][0] - 1.0) <= 1e-12
+
     def test_time_unit_seconds(self, tmp_path):
         out = tmp_path / "o.csv"
         main(["observables", "--Z", "92", "--t-unit", "s", "--t-max",
@@ -308,6 +319,9 @@ class TestDeterminism:
         (["carpet", "--Z", "92", "--n-av", "80", "--a", "0.6", "--b", "0.8",
           "--samples", "9", "--grid-points", "4001", "--format", "csv"],
          ["out_rho1.csv", "out_rho2.csv"]),
+        (["observables", "--Z", "92", "--a", "0.6", "--b", "0.8",
+          "--t-max", "35", "--t-unit", "tls", "--samples", "7001"],
+         ["out.csv"]),
     ])
     def test_byte_identical_across_blas_threads(self, tmp_path, args, files):
         outputs = []

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
+from conftest import splitting_mp
 from rwp.core import PhysicalParams, energy_table, t_ls, time_scales
 from rwp.errors import EmptyWindow, InvalidRange, RangeMismatch
 from rwp.observables import (autocorrelation, carpet, component_norms,
@@ -90,7 +92,7 @@ class TestDensities:
         snap = densities(amplitudes_at(packet, energies, t_half),
                          u92_table, u92_grid)
         n2_quad = float(np.sum(u92_grid.quad_w * snap.rho2))
-        _, n2_analytic = component_norms(packet, energies, t_half, z92.l)
+        _, n2_analytic = component_norms(packet, energies, t_half)
         assert abs(n2_quad - n2_analytic) < 0.05
         assert n2_quad == pytest.approx(n2_analytic, abs=1e-6)
 
@@ -188,7 +190,7 @@ class TestSpinExpectations:
 class TestComponentNorms:
     def test_initial_value(self, down, z92):
         packet, energies = down
-        n1, n2 = component_norms(packet, energies, 0.0, z92.l)
+        n1, n2 = component_norms(packet, energies, 0.0)
         assert n2 == pytest.approx(1.0, abs=1e-14)
         assert n1 == pytest.approx(0.0, abs=1e-14)
 
@@ -198,21 +200,21 @@ class TestComponentNorms:
             z92.l)
         energies = energy_table(z92, 80, 80)
         t_half = math.pi / energies.omega[0]
-        n1, n2 = component_norms(packet, energies, t_half, z92.l)
+        n1, n2 = component_norms(packet, energies, t_half)
         assert n2 == pytest.approx(1.0 / 9.0, rel=1e-10)
         assert n1 == pytest.approx(8.0 / 9.0, rel=1e-10)
 
     def test_sum_to_one(self, down, z92, rng):
         packet, energies = down
         for t in rng.uniform(0.0, 1e6, size=50):
-            n1, n2 = component_norms(packet, energies, t, z92.l)
+            n1, n2 = component_norms(packet, energies, t)
             assert n1 + n2 == pytest.approx(1.0, abs=1e-15)
 
     def test_first_minimum_near_half_period(self, down, z92):
         packet, energies = down
         tls = t_ls(z92, 80)
         t = np.linspace(0.0, 1.0 * tls, 2000)
-        n2 = np.array([component_norms(packet, energies, ti, z92.l)[1]
+        n2 = np.array([component_norms(packet, energies, ti)[1]
                        for ti in t])
         minima = detect_revivals(t, -n2, prominence=0.1)
         assert minima
@@ -226,7 +228,7 @@ class TestComponentNorms:
             n2_amp = float(np.sum(np.abs(amps.c2) ** 2))
             # omega*t vs (eps_plus*t - eps_minus*t): rounding differs by
             # ~eps_mach * |eps| * t in the phase at large t
-            assert component_norms(packet, energies, t, z92.l)[1] == \
+            assert component_norms(packet, energies, t)[1] == \
                 pytest.approx(n2_amp, abs=1e-11)
 
 
@@ -254,8 +256,8 @@ class TestPhaseShiftInvariance:
             spins_b = spin_expectations(
                 amplitudes_at(packet, shifted, ti), z92.l)
             assert np.allclose(spins_a, spins_b, atol=1e-12)
-            norms_a = component_norms(packet, energies, ti, z92.l)
-            norms_b = component_norms(packet, shifted, ti, z92.l)
+            norms_a = component_norms(packet, energies, ti)
+            norms_b = component_norms(packet, shifted, ti)
             assert np.allclose(norms_a, norms_b, atol=1e-12)
 
 
@@ -317,6 +319,64 @@ class TestSeriesAndCarpet:
         packet, energies = down
         with pytest.raises(InvalidRange):
             carpet(packet, energies, u92_table, u92_grid.r, np.array(t_axis))
+
+
+class TestClosedFormsAgainstAmplitudes:
+    """observable_series evaluates closed forms in w_n^2 and the spin beat;
+    the channel amplitudes are the oracle, held at rtol = 0."""
+
+    @pytest.fixture(scope="class", params=["fig4", "z1-n400"])
+    def case(self, request):
+        if request.param == "fig4":
+            params, n_av, samples = PhysicalParams(Z=92, l=1), 80, 7001
+            a = b = 1.0 / math.sqrt(2.0)
+        else:
+            params, n_av, samples = PhysicalParams(Z=1, l=1), 400, 2001
+            a, b = 0.6, 0.8
+        packet = build_packet(PacketSpec(n_av=n_av, sigma=2.0, a=a, b=b),
+                              params.l)
+        energies = energy_table(params, packet.n_min, packet.n_max)
+        t = np.linspace(0.0, 35.0 * t_ls(params, n_av), samples)
+        return packet, energies, t
+
+    def test_series_matches_amplitude_oracle(self, case):
+        packet, energies, t = case
+        series = observable_series(packet, energies, t)
+        amps = amplitudes_at(packet, energies, t)
+        sx, sy, sz = spin_expectations(amps, energies.params.l)
+        n1 = np.sum(np.abs(amps.c1) ** 2 + np.abs(amps.d1) ** 2, axis=-1)
+        n2 = np.sum(np.abs(amps.c2) ** 2, axis=-1)
+        # <Psi(0)|Psi(t)>: d1 vanishes at t = 0, c1(0) = w a, c2(0) = w b
+        w = packet.weights
+        overlap = (np.sum(w * np.conj(packet.spec.a) * amps.c1, axis=-1)
+                   + np.sum(w * np.conj(packet.spec.b) * amps.c2, axis=-1))
+        for got, want in ((series.sx, sx), (series.sy, sy), (series.sz, sz),
+                          (series.N1, n1), (series.N2, n2),
+                          (series.A, overlap)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+class TestSpinBeatPhase:
+    """The phase of the spin beat of a one-level packet at t = 35 T_ls
+    against 60-digit mpmath: 2ab/(2l+1) removed from sx leaves
+    (sx, sy) proportional to (cos omega t, sin omega t)."""
+
+    @pytest.mark.parametrize("Z, n", [(1, 400), (1, 80), (92, 80), (92, 200)])
+    def test_phase_against_mpmath(self, Z, n):
+        params = PhysicalParams(Z=Z, l=1)
+        s = 1.0 / math.sqrt(2.0)
+        packet = build_packet(
+            PacketSpec(n_av=n, sigma=2.0, a=s, b=s, n_min=n, n_max=n),
+            params.l)
+        energies = energy_table(params, n, n)
+        t = 35.0 * t_ls(params, n)
+        series = observable_series(packet, energies, np.array([t]))
+        a, b, l = packet.spec.a, packet.spec.b, params.l
+        got = math.atan2(series.sy[0],
+                         series.sx[0] - 2.0 * a * b / (2 * l + 1))
+        want = splitting_mp(Z, n, l) * mpf(t) % (2 * mp.pi)
+        miss = float((mpf(got) - want + mp.pi) % (2 * mp.pi) - mp.pi)
+        assert abs(miss) <= 1e-12
 
 
 class TestDetectRevivals:

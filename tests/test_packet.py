@@ -52,6 +52,17 @@ class TestBuildPacket:
         with pytest.raises(NonNormalizedSpinor):
             build_packet(PacketSpec(n_av=80, sigma=2.0, a=1.0, b=1.0), 1)
 
+    def test_spinor_renormalized(self):
+        # within the 1e-9 tolerance, so accepted, then scaled to unit norm
+        p = build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.6, b=0.8000000005), 1)
+        assert abs(p.spec.a ** 2 + p.spec.b ** 2 - 1.0) <= 4.5e-16
+        assert p.spec.a / p.spec.b == pytest.approx(0.6 / 0.8000000005,
+                                                    rel=1e-15)
+
+    def test_nan_spinor_rejected(self):
+        with pytest.raises(NonNormalizedSpinor):
+            build_packet(PacketSpec(n_av=80, sigma=2.0, a=math.nan, b=1.0), 1)
+
     def test_invalid_range(self):
         with pytest.raises(InvalidRange):
             build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.0, b=1.0,
