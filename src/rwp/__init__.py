@@ -2,8 +2,8 @@
 
 Exact fine-structure evolution of Gaussian superpositions of hydrogenic
 eigenstates, with the observables that exhibit spin-orbit entanglement:
-component densities, autocorrelation, spin expectation values, component
-norms, characteristic time scales and space-time carpet grids.
+component densities on a time axis, autocorrelation, spin expectation
+values, component norms and characteristic time scales.
 """
 
 from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST, EnergyTable,
@@ -14,10 +14,9 @@ from .errors import (EmptyRange, EmptyWindow, InvalidGridSpec, InvalidRange,
                      InvalidQuantumNumbers, LengthMismatch,
                      NonNormalizedSpinor, RangeMismatch, RwpError,
                      SupercriticalCharge, UnsupportedOrder)
-from .observables import (CarpetGrid, DensitySnapshot, ObservableSeries,
-                          autocorrelation, carpet, component_norms, densities,
-                          detect_revivals, observable_series, spin_expectations,
-                          spin_length)
+from .observables import (ObservableSeries, autocorrelation, component_norms,
+                          densities, detect_revivals, observable_series,
+                          spin_expectations, spin_length)
 from .packet import (N_LIMIT, Packet, PacketSpec, SpinorAmplitudes,
                      amplitudes_at, build_packet, gaussian_weights,
                      truncation_bounds)

@@ -21,9 +21,9 @@ import numpy as np
 
 from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST, PhysicalParams,
                    energy_table, t_ls_lowest_order, time_scales)
-from .errors import RwpError
-from .observables import carpet, densities, observable_series
-from .packet import PacketSpec, amplitudes_at, build_packet, truncation_bounds
+from .errors import InvalidRange, RwpError
+from .observables import densities, observable_series
+from .packet import PacketSpec, build_packet, truncation_bounds
 from .radial import (DEFAULT_GRID_POINTS, make_grid, outer_radius,
                      radial_table)
 
@@ -270,40 +270,49 @@ def cmd_density(cfg: RunConfig) -> list:
     packet, energies = _packet_and_energies(cfg, params)
     grid = make_grid(params, packet.n_max, cfg.grid_points)
     table = radial_table(params, packet.n_min, packet.n_max, grid.r)
+    rho1, rho2 = densities(packet, energies, table, t_au)
     written = []
-    for i, t in enumerate(t_au):
-        amps = amplitudes_at(packet, energies, t)
-        snap = densities(amps, table, grid)
+    for i, (row1, row2) in enumerate(zip(rho1, rho2)):
         suffix = f"_t{i}" if len(t_au) > 1 else ""
         path = _out_path(cfg, "rwp_density.csv", suffix)
         write_csv(path, ["r", "rho1", "rho2", "rho"],
-                  [grid.r, snap.rho1, snap.rho2, snap.rho1 + snap.rho2])
+                  [table.r, row1, row2, row1 + row2])
         written.append(path)
     return written
+
+
+def _ascending(t_au: np.ndarray) -> np.ndarray:
+    """A carpet's time axis, which draws one row per time in order: t_au
+    itself if non-empty and strictly ascending, else InvalidRange."""
+    if len(t_au) == 0 or np.any(np.diff(t_au) <= 0):
+        raise InvalidRange("carpet times must be non-empty and strictly "
+                           "ascending (t_max > 0 when samples > 1)")
+    return t_au
 
 
 def cmd_carpet(cfg: RunConfig) -> list:
     params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     unit_au = _time_unit_au(cfg, params)
-    t_au = np.linspace(0.0, _time_au("t_max", cfg.t_max, unit_au), cfg.samples)
+    t_au = _ascending(np.linspace(
+        0.0, _time_au("t_max", cfg.t_max, unit_au), cfg.samples))
     packet, energies = _packet_and_energies(cfg, params)
     # images sample a uniform axis, so equal pixels hold equal widths of r
     r = np.linspace(0.0, outer_radius(params, packet.n_max), cfg.grid_points)
     table = radial_table(params, packet.n_min, packet.n_max, r)
-    result = carpet(packet, energies, table, r, t_au)
+    rho1, rho2 = densities(packet, energies, table, t_au)
     ext = os.path.splitext(cfg.out or "")[1].lower()
     pgm = cfg.format == "pgm" or (cfg.format is None and ext == ".pgm")
     # joint scaling: the brightest pixel across both components is 255
-    rho_max = max(result.rho1.max(), result.rho2.max())
-    header = None if pgm else ["t\\r"] + [_FMT % r for r in result.r_axis]
+    rho_max = max(rho1.max(), rho2.max())
+    header = None if pgm else ["t\\r"] + [_FMT % v for v in table.r]
     written = []
-    for name, rho in (("rho1", result.rho1), ("rho2", result.rho2)):
+    for name, rho in (("rho1", rho1), ("rho2", rho2)):
         if pgm:
             path = _out_path(cfg, "rwp_carpet.pgm", f"_{name}")
             write_pgm(path, np.rint(255.0 * rho / rho_max))
         else:
             path = _out_path(cfg, "rwp_carpet.csv", f"_{name}")
-            write_csv(path, header, [result.t_axis / unit_au, rho])
+            write_csv(path, header, [t_au / unit_au, rho])
         written.append(path)
     return written
 

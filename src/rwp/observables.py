@@ -1,10 +1,12 @@
 """Measurable quantities of the evolving packet.
 
 Component densities, the autocorrelation function, spin expectation values,
-component norms, space-time carpet grids and revival-peak detection.  The
-scalar observables come from closed forms in w_n^2 and the spin beat
-(``_closed_forms``, the production path); ``spin_expectations`` on the channel
-amplitudes is their oracle in the tests.  Densities need the amplitudes.
+component norms and revival-peak detection.  Every observable is built from
+the phase pair (e_+, beat) of ``packet._phases``: the scalar ones as closed
+forms in w_n^2 and the spin beat (``_closed_forms``), the densities from two
+phase sums over the radial table (``densities``).  The channel amplitudes of
+``amplitudes_at``, with ``spin_expectations`` on them, are their oracle in the
+tests.
 """
 
 from __future__ import annotations
@@ -15,22 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EnergyTable
-from .errors import EmptyWindow, InvalidRange, RangeMismatch
-from .packet import Packet, SpinorAmplitudes, _phases, amplitudes_at
-from .radial import RadialGrid, RadialTable
-
-
-@dataclass(frozen=True)
-class DensitySnapshot:
-    """Radial probability density per spinor component at one time."""
-
-    t: float
-    rho1: np.ndarray
-    rho2: np.ndarray
-    grid: RadialGrid
-
-    def total_norm(self) -> float:
-        return float(np.sum(self.grid.quad_w * (self.rho1 + self.rho2)))
+from .errors import EmptyWindow, RangeMismatch
+from .packet import Packet, SpinorAmplitudes, _phases
+from .radial import RadialTable
 
 
 @dataclass(frozen=True)
@@ -48,57 +37,60 @@ class ObservableSeries:
     N2: np.ndarray
 
 
-@dataclass(frozen=True)
-class CarpetGrid:
-    """(time x radius) matrices of the two component densities."""
+def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
+              times):
+    """(rho1, rho2): the radial densities of the upper and lower spinor
+    component at the table's radii, each a T x R array for a 1-D array of T
+    times in any order.
 
-    t_axis: np.ndarray
-    r_axis: np.ndarray
-    rho1: np.ndarray
-    rho2: np.ndarray
+    With the phase sums P_+- = sum_n w_n e_+- R_n (e_- = e_+ beat), the
+    channel sums of ``amplitudes_at`` are a P_+, b sqrt(2l)/(2l+1) (P_+ - P_-)
+    and b (P_+ + 2l P_-)/(2l+1).  The two channels of the upper component
+    carry orthogonal angular parts (m = l and m = l-1) and add incoherently:
 
+        rho1 = r^2 (|a|^2 |P_+|^2 + |b|^2 2l/(2l+1)^2 |P_+ - P_-|^2),
+        rho2 = r^2 |b|^2/(2l+1)^2 |P_+ + 2l P_-|^2.
 
-def _table_rows(amps: SpinorAmplitudes, table: RadialTable) -> np.ndarray:
-    n0, n1 = int(amps.n[0]), int(amps.n[-1])
-    if int(table.n_range[0]) > n0 or int(table.n_range[-1]) < n1:
-        raise RangeMismatch(
-            f"radial table covers [{table.n_range[0]}, {table.n_range[-1]}], "
-            f"amplitudes need [{n0}, {n1}]"
-        )
-    if table.l != amps.l:
-        raise RangeMismatch(f"radial table has l={table.l}, amplitudes l={amps.l}")
-    lo = n0 - int(table.n_range[0])
-    return table.values[lo:lo + len(amps.n)]
-
-
-def _project(amps: SpinorAmplitudes, table: RadialTable, r: np.ndarray):
-    """(rho1, rho2) at the table's radii r, with the channels' leading axes
-    kept.
-
-    The two channels of the upper component carry orthogonal angular parts
-    (m = l and m = l-1), so their radial superpositions add incoherently.
-    The sum over n runs through einsum on the real and imaginary parts, not
-    through BLAS, so its order and the output bytes do not depend on the
-    BLAS thread count or on how many times are projected at once.
+    The sums over n run through einsum on the real and imaginary parts, not
+    through BLAS, so no byte depends on the BLAS thread count or on which
+    other times share the call.
     """
-    rows = _table_rows(amps, table)
-
-    def mod_sq(c):
-        re = np.einsum("...n,nr->...r", c.real, rows)
-        im = np.einsum("...n,nr->...r", c.imag, rows)
-        return re * re + im * im
-
-    r2 = r ** 2
-    rho1 = r2 * (mod_sq(amps.c1) + mod_sq(amps.d1))
-    rho2 = r2 * mod_sq(amps.c2)
+    lo, hi = int(table.n_range[0]), int(table.n_range[-1])
+    if lo > packet.n_min or hi < packet.n_max:
+        raise RangeMismatch(
+            f"radial table covers [{lo}, {hi}], "
+            f"packet needs [{packet.n_min}, {packet.n_max}]"
+        )
+    a, b, l = complex(packet.spec.a), complex(packet.spec.b), energies.params.l
+    if table.l != l:
+        raise RangeMismatch(f"radial table has l={table.l}, energies l={l}")
+    rows = table.values[packet.n_min - lo:packet.n_max - lo + 1]
+    e_plus, beat = _phases(packet, energies, times)
+    w_plus = e_plus * packet.weights  # on the T x N phases: rows stay uncopied
+    w_minus = w_plus * beat
+    flip = abs(b) ** 2 * 2 * l / (2 * l + 1) ** 2  # of |P_+ - P_-|^2
+    rho1 = np.zeros(w_plus.shape[:-1] + table.r.shape)
+    rho2 = np.zeros_like(rho1)
+    for part in (np.real, np.imag):
+        # in place, so that at most five T x R arrays are live at once
+        p = np.einsum("...n,nr->...r", part(w_plus), rows)
+        m = np.einsum("...n,nr->...r", part(w_minus), rows)
+        s = 2 * l * m
+        s += p
+        s *= s
+        rho2 += s  # |P_+ + 2l P_-|^2
+        m -= p
+        m *= m
+        m *= flip
+        rho1 += m
+        p *= p
+        p *= abs(a) ** 2
+        rho1 += p
+        del p, m, s
+    r2 = table.r ** 2
+    rho1 *= r2
+    rho2 *= abs(b) ** 2 / (2 * l + 1) ** 2 * r2
     return rho1, rho2
-
-
-def densities(amps: SpinorAmplitudes, table: RadialTable,
-              grid: RadialGrid) -> DensitySnapshot:
-    """Component densities rho1, rho2 on the radial grid at one time."""
-    rho1, rho2 = _project(amps, table, grid.r)
-    return DensitySnapshot(t=amps.t, rho1=rho1, rho2=rho2, grid=grid)
 
 
 def _closed_forms(packet: Packet, energies: EnergyTable, t):
@@ -169,22 +161,6 @@ def observable_series(packet: Packet, energies: EnergyTable,
     slen = np.sqrt(sx ** 2 + sy ** 2 + sz ** 2)
     return ObservableSeries(t=times, A=A, asq=np.abs(A) ** 2, sx=sx, sy=sy,
                             sz=sz, slen=slen, N1=1.0 - n2, N2=n2)
-
-
-def carpet(packet: Packet, energies: EnergyTable, table: RadialTable,
-           r, t_grid) -> CarpetGrid:
-    """Space-time density grid: row i is the density at t_grid[i], sampled
-    at the radii r the table was built on.
-
-    All rows come from one projection of the (T x N) amplitudes; each row is
-    bit-identical to the ``densities`` snapshot at t_i on a grid with these r.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0):
-        raise InvalidRange("t_grid must be non-empty and strictly ascending")
-    r = np.asarray(r, dtype=float)
-    rho1, rho2 = _project(amplitudes_at(packet, energies, t_grid), table, r)
-    return CarpetGrid(t_axis=t_grid, r_axis=r, rho1=rho1, rho2=rho2)
 
 
 def detect_revivals(t, values, window=None, prominence: float = 0.1):

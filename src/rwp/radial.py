@@ -5,9 +5,10 @@ The quadrature grid is r = r_max x^2 with uniform steps in x and composite
 Simpson weights in x, the Jacobian dr/dx folded in.  Points crowd towards the
 nucleus, where R_{n,l} varies on the scale 1/Z, and thin out over the slowly
 varying outer region, so a few thousand points hold the Gram matrix of
-n <= 200 (Z = 92) and n <= 410 (Z = 1) within 1e-12 of identity.
+n <= 200 (Z = 92) and n <= 410 (Z = 1) within 1e-12 of identity, and of
+n 960-1000 (packet.N_LIMIT) at Z = 1 and Z = 92 within 2e-12.
 
-R_{n,l}(r) is needed at Rydberg n (the tests go to n = 410), where the
+R_{n,l}(r) is needed at Rydberg n (the tests go to n = 1000), where the
 textbook normalization sqrt((n-l-1)!/(2n (n+l)!)) overflows long before the
 function values do.  Evaluation therefore runs the three-term Laguerre
 recurrence on the *fully weighted* function (exponential, power and
@@ -34,7 +35,7 @@ _LN2 = math.log(2.0)
 # also sets the default row count of the density CSV and the column count of
 # the carpet images.
 DEFAULT_GRID_POINTS = 5001
-# renormalize the recurrence when the mantissa leaves [2^-500, 2^500]
+# renormalize the recurrence when the mantissa exceeds 2^500
 _RESCALE_POW = 500
 _RESCALE_UP = 2.0 ** _RESCALE_POW
 _RESCALE_DOWN = 2.0 ** -_RESCALE_POW
@@ -69,18 +70,13 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class RadialTable:
-    """Rows of R_{n,l}(r) sampled at common radii, one row per n."""
+    """Rows of R_{n,l}(r) sampled at the radii r, one row per n."""
 
     values: np.ndarray  # shape (len(n_range), len(r))
+    r: np.ndarray
     n_range: np.ndarray
     l: int
     Z: int
-
-    def row(self, n: int) -> np.ndarray:
-        idx = n - int(self.n_range[0])
-        if idx < 0 or idx >= len(self.n_range):
-            raise InvalidQuantumNumbers(f"n = {n} not tabulated")
-        return self.values[idx]
 
 
 def simpson_weights(points: int, h: float) -> np.ndarray:
@@ -193,19 +189,15 @@ def _recurrence(rho, lognorm, l, k_top):
         fp /= k + 1.0
         f_prev, f_cur = f_cur, f_prev
         fp, fc = fc, fp
-        # one |f| pass decides; the masks are built only when a bound trips
+        # only large |F| is rescaled: a start mantissa lies in [1, 2) and a
+        # step is one subtraction, 0 or >= one ulp of its larger operand, so
+        # two consecutive near-zero values cannot occur
         np.abs(fc, out=tmp)
-        if tmp.max() > _RESCALE_UP or tmp.min() < _RESCALE_DOWN:
-            big = np.abs(fc) > _RESCALE_UP
-            if big.any():
-                fc[big] *= _RESCALE_DOWN
-                fp[big] *= _RESCALE_DOWN
-                e[big] += _RESCALE_POW
-            tiny = (np.abs(fc) < _RESCALE_DOWN) & (fc != 0.0)
-            if tiny.any():
-                fc[tiny] *= _RESCALE_UP
-                fp[tiny] *= _RESCALE_UP
-                e[tiny] -= _RESCALE_POW
+        if tmp.max() > _RESCALE_UP:
+            big = tmp > _RESCALE_UP
+            fc[big] *= _RESCALE_DOWN
+            fp[big] *= _RESCALE_DOWN
+            e[big] += _RESCALE_POW
     np.ldexp(f_cur[i0:], expo[i0:], out=out[i0:])
     return out
 
@@ -223,7 +215,8 @@ def radial_eval(Z: int, n: int, l: int, r) -> np.ndarray:
     The starting weight is split into mantissa and power-of-two exponent from
     its logarithm; the exponent rides along and is re-applied at the end with
     ldexp (tail underflow flushes cleanly to zero).  The tests hold the Gram
-    matrix within 1e-8 of identity at n 156-200 (Z = 92) and 390-410 (Z = 1).
+    matrix within 1e-8 of identity at n 156-200 (Z = 92), 390-410 (Z = 1)
+    and 960-1000 (both).
     """
     out = _radial_rows(Z, l, np.array([n]), r)[0]
     if np.isscalar(r) or np.ndim(r) == 0:
@@ -245,7 +238,8 @@ def radial_table(params: PhysicalParams, n_min: int, n_max: int,
             f"n_min={n_min}, n_max={n_max}"
         )
     ns = np.arange(n_min, n_max + 1)
-    return RadialTable(values=_radial_rows(params.Z, params.l, ns, r),
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    return RadialTable(values=_radial_rows(params.Z, params.l, ns, r), r=r,
                        n_range=ns, l=params.l, Z=params.Z)
 
 

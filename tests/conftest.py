@@ -8,7 +8,7 @@ from mpmath import mp, mpf, sqrt as mpsqrt
 
 from rwp.core import (FINE_STRUCTURE_CONST, PhysicalParams, energy_table,
                       time_scales)
-from rwp.packet import PacketSpec, build_packet
+from rwp.packet import PacketSpec, amplitudes_at, build_packet
 from rwp.radial import make_grid, radial_table
 
 
@@ -31,6 +31,18 @@ def eps_mp(Z, n, j, alpha=FINE_STRUCTURE_CONST, l=None, dps=60):
 def splitting_mp(Z, n, l, alpha=FINE_STRUCTURE_CONST, dps=60):
     """Naive extended-precision eps_plus - eps_minus."""
     return eps_mp(Z, n, l + 0.5, alpha, dps=dps) - eps_mp(Z, n, l - 0.5, alpha, dps=dps)
+
+
+def amplitude_densities(packet, energies, table, times):
+    """(rho1, rho2) projected channel by channel from ``amplitudes_at``: r^2
+    (|sum c1 R|^2 + |sum d1 R|^2) and r^2 |sum c2 R|^2, the oracle of
+    ``densities``."""
+    amps = amplitudes_at(packet, energies, np.asarray(times, dtype=float))
+    lo = packet.n_min - int(table.n_range[0])
+    rows = table.values[lo:lo + len(packet.n)]
+    r2 = table.r ** 2
+    return (r2 * (np.abs(amps.c1 @ rows) ** 2 + np.abs(amps.d1 @ rows) ** 2),
+            r2 * np.abs(amps.c2 @ rows) ** 2)
 
 
 @pytest.fixture(scope="session")

@@ -247,6 +247,8 @@ class TestRadialTable:
 
     @pytest.mark.parametrize("Z, n_min, n_max", [
         (92, 156, 200), (1, 390, 410),
+        # up to N_LIMIT: every n a packet may reach is checked
+        (1, 960, 1000), (92, 960, 1000),
         # small n, where a margin of n_max^2/(2Z) cut off the tail of R_{n_max}
         (92, 2, 10), (92, 2, 30), (92, 20, 40), (1, 2, 10)])
     def test_gram_identity_rydberg_default_grid(self, Z, n_min, n_max):
@@ -265,11 +267,6 @@ class TestRadialTable:
         assert t.values.shape == (1, len(g))
         assert inner_product(t.values[0], t.values[0], g) == pytest.approx(
             1.0, abs=1e-8)
-
-    def test_row_lookup(self, u92_table):
-        assert np.array_equal(u92_table.row(75), u92_table.values[5])
-        with pytest.raises(InvalidQuantumNumbers):
-            u92_table.row(60)
 
 
 class TestInnerProduct:
