@@ -7,16 +7,14 @@ values, component norms and characteristic time scales.
 """
 
 from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST, EnergyTable,
-                   PhysicalParams, TimeScales, dirac_energy, energy_splitting,
-                   energy_table, reduced_energy, t_ls, t_ls2, time_scale_k,
-                   time_scales)
+                   PhysicalParams, TimeScales, energy_splitting, energy_table,
+                   reduced_energy, time_scales)
 from .errors import (EmptyRange, EmptyWindow, InvalidGridSpec, InvalidRange,
                      InvalidQuantumNumbers, LengthMismatch,
                      NonNormalizedSpinor, RangeMismatch, RwpError,
-                     SupercriticalCharge, UnsupportedOrder)
-from .observables import (ObservableSeries, autocorrelation, component_norms,
-                          densities, detect_revivals, observable_series,
-                          spin_expectations, spin_length)
+                     SupercriticalCharge)
+from .observables import (ObservableSeries, densities, detect_revivals,
+                          observable_series, spin_expectations)
 from .packet import (N_LIMIT, Packet, PacketSpec, SpinorAmplitudes,
                      amplitudes_at, build_packet, gaussian_weights,
                      truncation_bounds)

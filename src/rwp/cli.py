@@ -6,7 +6,8 @@ Config files are plain ``key = value`` lines with ``#`` comments, keys named
 like the flags (``n_av``, ``t_max``...).
 
 Exit status: 0 success, 1 domain error (bad physics input, a non-finite or
-out-of-range setting, an output file that cannot be written), 2 usage error.
+out-of-range setting, an output file that cannot be written, an array too
+large to allocate), 2 usage error.
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ def main(argv=None) -> int:
     try:
         cfg = merge_config(cli_args, parser)
         written = COMMANDS[command](cfg)
-    except (RwpError, OSError) as exc:
+    except (RwpError, OSError, MemoryError) as exc:
         print(f"rwp: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     for path in written:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidQuantumNumbers, SupercriticalCharge, UnsupportedOrder
+from .errors import InvalidQuantumNumbers, SupercriticalCharge
 
 # CODATA 2018
 FINE_STRUCTURE_CONST = 7.2973525693e-3
@@ -74,9 +74,6 @@ class EnergyTable:
     def n_max(self) -> int:
         return int(self.n[-1])
 
-    def __len__(self):
-        return len(self.n)
-
 
 @dataclass(frozen=True)
 class TimeScales:
@@ -87,23 +84,6 @@ class TimeScales:
     t_super: float
     t_ls: float
     t_ls2: float
-
-    def in_seconds(self) -> "TimeScales":
-        s = ATOMIC_TIME_SECONDS
-        return TimeScales(self.t_cl * s, self.t_rev * s, self.t_super * s,
-                          self.t_ls * s, self.t_ls2 * s)
-
-
-def _j_values(l: int):
-    return l - 0.5, l + 0.5
-
-
-def _check_nj(params: PhysicalParams, n: int, j: float):
-    if n < params.l + 1:
-        raise InvalidQuantumNumbers(f"n = {n} < l+1 = {params.l + 1}")
-    j_lo, j_hi = _j_values(params.l)
-    if not (abs(j - j_lo) < 1e-12 or abs(j - j_hi) < 1e-12):
-        raise InvalidQuantumNumbers(f"j = {j} is not l +/- 1/2 for l = {params.l}")
 
 
 def reduced_energy(Z: int, n, j: float, alpha: float = FINE_STRUCTURE_CONST):
@@ -128,12 +108,6 @@ def reduced_energy(Z: int, n, j: float, alpha: float = FINE_STRUCTURE_CONST):
     return -x / (s * (1.0 + s)) / alpha ** 2
 
 
-def dirac_energy(params: PhysicalParams, n: int, j: float) -> float:
-    """Reduced energy on the branch j = l +/- 1/2 of the params' l."""
-    _check_nj(params, n, j)
-    return reduced_energy(params.Z, n, j, params.alpha)
-
-
 def energy_splitting(params: PhysicalParams, n):
     """eps_plus - eps_minus at n (or an array of n), without cancellation.
 
@@ -150,11 +124,7 @@ def energy_splitting(params: PhysicalParams, n):
         raise InvalidQuantumNumbers(f"n = {n} < l+1 = {l + 1}")
     y = params.z_alpha_sq
     disc_hi = (l + 1) ** 2 - y
-    disc_lo = l * l - y
-    if disc_lo <= 0.0:
-        raise SupercriticalCharge(
-            f"(j+1/2)^2 = {l * l} <= (Z*alpha)^2 = {y} for j = l-1/2"
-        )
+    disc_lo = l * l - y  # > 0: PhysicalParams holds l >= 1 > Z*alpha
     sq_hi = math.sqrt(disc_hi)
     sq_lo = math.sqrt(disc_lo)
     d_plus = n - (l + 1) + sq_hi
@@ -179,11 +149,10 @@ def energy_table(params: PhysicalParams, n_min: int, n_max: int) -> EnergyTable:
         raise InvalidQuantumNumbers(
             f"need l+1 <= n_min <= n_max, got l={params.l}, n_min={n_min}, n_max={n_max}"
         )
-    j_lo, j_hi = _j_values(params.l)
     ns = np.arange(n_min, n_max + 1)
     return EnergyTable(params, ns,
-                       reduced_energy(params.Z, ns, j_hi, params.alpha),
-                       reduced_energy(params.Z, ns, j_lo, params.alpha),
+                       reduced_energy(params.Z, ns, params.l + 0.5, params.alpha),
+                       reduced_energy(params.Z, ns, params.l - 0.5, params.alpha),
                        energy_splitting(params, ns))
 
 
@@ -219,47 +188,21 @@ def energy_derivatives(params: PhysicalParams, n: float, j: float):
     return e1, e2, e3
 
 
-def time_scale_k(params: PhysicalParams, n_av: int, k: int,
-                 branch: str = "plus") -> float:
-    """Hierarchy time T_k = 2*pi*hbar / |(1/k!) d^k E/dn^k| at n = n_av.
+def time_scales(params: PhysicalParams, n_av: int) -> TimeScales:
+    """All characteristic times of a packet centered at n_av, in atomic units.
 
+    T_k = 2*pi*hbar / |(1/k!) d^k E/dn^k| on the j = l+1/2 branch at n_av:
     k=1 is the classical Kepler period, k=2 the revival time, k=3 the
-    super-revival scale.
+    super-revival scale.  T_ls = 2*pi*hbar / |eps_plus - eps_minus| is the
+    spin-orbit period and T_ls2 = (2/3) n_av T_ls the spin-revival scale; the
+    spin revives near half of it.
     """
-    if k not in (1, 2, 3):
-        raise UnsupportedOrder(f"k = {k} not in 1..3")
-    if n_av < params.l + 1:
-        raise InvalidQuantumNumbers(f"n_av = {n_av} < l+1 = {params.l + 1}")
-    if branch not in ("plus", "minus"):
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    j = params.l + 0.5 if branch == "plus" else params.l - 0.5
-    derivs = energy_derivatives(params, float(n_av), j)
-    coeff = abs(derivs[k - 1]) / math.factorial(k)
-    return 2.0 * math.pi / coeff
-
-
-def t_ls(params: PhysicalParams, n_av: int) -> float:
-    """Spin-orbit period 2*pi*hbar / |eps_plus - eps_minus| at n_av."""
-    return 2.0 * math.pi / abs(energy_splitting(params, n_av))
-
-
-def t_ls2(n_av: int, t_ls_value: float) -> float:
-    """Spin-revival scale (2/3) * n_av * T_ls; the spin revives near half of it."""
-    if n_av <= 0 or t_ls_value <= 0:
-        raise ValueError("n_av and t_ls must be positive")
-    return (2.0 / 3.0) * n_av * t_ls_value
-
-
-def time_scales(params: PhysicalParams, n_av: int, branch: str = "plus") -> TimeScales:
-    """All characteristic times of a packet centered at n_av, in atomic units."""
-    tls = t_ls(params, n_av)
-    return TimeScales(
-        t_cl=time_scale_k(params, n_av, 1, branch),
-        t_rev=time_scale_k(params, n_av, 2, branch),
-        t_super=time_scale_k(params, n_av, 3, branch),
-        t_ls=tls,
-        t_ls2=t_ls2(n_av, tls),
-    )
+    t_ls = 2.0 * math.pi / abs(energy_splitting(params, n_av))
+    derivs = energy_derivatives(params, float(n_av), params.l + 0.5)
+    t_cl, t_rev, t_super = (2.0 * math.pi / (abs(e_k) / math.factorial(k))
+                            for k, e_k in enumerate(derivs, 1))
+    return TimeScales(t_cl=t_cl, t_rev=t_rev, t_super=t_super, t_ls=t_ls,
+                      t_ls2=(2.0 / 3.0) * n_av * t_ls)
 
 
 def t_ls_lowest_order(params: PhysicalParams, n_av: int) -> float:
@@ -268,5 +211,5 @@ def t_ls_lowest_order(params: PhysicalParams, n_av: int) -> float:
     Kept alongside the exact splitting for comparison; at large Z*alpha the
     two differ noticeably.
     """
-    t_cl = time_scale_k(params, n_av, 1)
+    t_cl = time_scales(params, n_av).t_cl
     return 2.0 * params.l * (params.l + 1) / params.z_alpha_sq * t_cl

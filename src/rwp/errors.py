@@ -10,11 +10,7 @@ class SupercriticalCharge(RwpError):
 
 
 class InvalidQuantumNumbers(RwpError):
-    """Quantum numbers outside the bound-state domain (n < l+1, bad j, ...)."""
-
-
-class UnsupportedOrder(RwpError):
-    """Time-scale hierarchy order k outside the implemented range 1..3."""
+    """Quantum numbers outside the bound-state domain (n < l+1, l < 1, ...)."""
 
 
 class InvalidGridSpec(RwpError):
@@ -38,7 +34,8 @@ class InvalidRange(RwpError):
 
 
 class RangeMismatch(RwpError):
-    """Energy or radial table does not cover the packet's n range."""
+    """Energy or radial table does not cover the packet's n range, or has
+    another l or Z."""
 
 
 class EmptyWindow(RwpError):

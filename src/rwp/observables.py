@@ -3,15 +3,14 @@
 Component densities, the autocorrelation function, spin expectation values,
 component norms and revival-peak detection.  Every observable is built from
 the phase pair (e_+, beat) of ``packet._phases``: the scalar ones as closed
-forms in w_n^2 and the spin beat (``_closed_forms``), the densities from two
-phase sums over the radial table (``densities``).  The channel amplitudes of
-``amplitudes_at``, with ``spin_expectations`` on them, are their oracle in the
-tests.
+forms in w_n^2 and the spin beat (``observable_series``), the densities from
+two phase sums over the radial table (``densities``).  The channel amplitudes
+of ``amplitudes_at``, with ``spin_expectations`` on them, are their oracle in
+the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +63,9 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
     a, b, l = complex(packet.spec.a), complex(packet.spec.b), energies.params.l
     if table.l != l:
         raise RangeMismatch(f"radial table has l={table.l}, energies l={l}")
+    if table.Z != energies.params.Z:
+        raise RangeMismatch(
+            f"radial table has Z={table.Z}, energies Z={energies.params.Z}")
     rows = table.values[packet.n_min - lo:packet.n_max - lo + 1]
     e_plus, beat = _phases(packet, energies, times)
     w_plus = e_plus * packet.weights  # on the T x N phases: rows stay uncopied
@@ -93,35 +95,6 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
     return rho1, rho2
 
 
-def _closed_forms(packet: Packet, energies: EnergyTable, t):
-    """(A, sum_n conj(c1) c2, N2) on t's shape.  With W = sum w_n^2 and
-    S = sum w_n^2 beat, from the pair (e_+, beat) of ``_phases``:
-
-        A = sum_n w_n^2 e_+ [|a|^2 + |b|^2 (1 + 2l beat)/(2l+1)],
-        sum_n conj(c1) c2 = conj(a) b (W + 2l S)/(2l+1),
-        N2 = |b|^2 (W (1 + 4l^2) + 4l Re S)/(2l+1)^2,
-
-    summed over n by einsum, not BLAS, so no byte depends on its threads.
-    """
-    e_plus, beat = _phases(packet, energies, t)
-    a, b, l = complex(packet.spec.a), complex(packet.spec.b), energies.params.l
-    w2, b2 = packet.weights ** 2, abs(b) ** 2
-    w_sum, s = np.sum(w2), np.einsum("...n,n->...", beat, w2)
-    amp = np.einsum("...n,...n->...", e_plus,
-                    w2 * (abs(a) ** 2 + b2 / (2 * l + 1))
-                    + (w2 * (b2 * 2 * l / (2 * l + 1))) * beat)
-    cross = a.conjugate() * b * (w_sum + 2.0 * l * s) / (2 * l + 1)
-    n2 = b2 * (w_sum * (1.0 + 4.0 * l * l) + 4.0 * l * s.real) / (2 * l + 1) ** 2
-    return amp, cross, n2
-
-
-def autocorrelation(packet: Packet, energies: EnergyTable, t):
-    """Overlap <Psi(0)|Psi(t)> (phases e^{-i eps t}) from ``_closed_forms``: a
-    complex scalar at scalar t, an array on an array of times."""
-    amp = _closed_forms(packet, energies, t)[0]
-    return complex(amp) if np.ndim(amp) == 0 else amp
-
-
 def spin_expectations(amps: SpinorAmplitudes, l: int):
     """(<sigma_x>, <sigma_y>, <sigma_z>) from the channel amplitudes.
 
@@ -139,24 +112,30 @@ def spin_expectations(amps: SpinorAmplitudes, l: int):
     return sx, sy, sz
 
 
-def component_norms(packet: Packet, energies: EnergyTable, t):
-    """(N1, N2): probability carried by the upper / lower spinor component,
-    N2 from ``_closed_forms`` with the table's l and N1 = 1 - N2 (unitarity).
-    A scalar t gives two floats, a 1-D array of times two arrays."""
-    n2 = _closed_forms(packet, energies, t)[2]
-    return 1.0 - n2, n2
-
-
-def spin_length(sx: float, sy: float, sz: float) -> float:
-    """Euclidean length of the Bloch vector."""
-    return math.sqrt(sx * sx + sy * sy + sz * sz)
-
-
 def observable_series(packet: Packet, energies: EnergyTable,
                       times) -> ObservableSeries:
-    """Evaluate every scalar observable on a time axis, from the closed forms."""
+    """Every scalar observable on ``times``' shape: a 1-D time axis, or 0-d
+    fields at a scalar time.  With W = sum w_n^2 and S = sum w_n^2 beat, from
+    the pair (e_+, beat) of ``_phases``:
+
+        A = <Psi(0)|Psi(t)> = sum_n w_n^2 e_+ [|a|^2 + |b|^2 (1 + 2l beat)/(2l+1)],
+        sum_n conj(c1) c2 = conj(a) b (W + 2l S)/(2l+1),
+        N2 = |b|^2 (W (1 + 4l^2) + 4l Re S)/(2l+1)^2,
+
+    then (sx, sy) = 2 (Re, Im) sum_n conj(c1) c2, sz = 1 - 2 N2 and N1 = 1 - N2
+    (unitarity), summed over n by einsum, not BLAS, so no byte depends on its
+    threads.
+    """
     times = np.asarray(times, dtype=float)
-    A, cross, n2 = _closed_forms(packet, energies, times)
+    e_plus, beat = _phases(packet, energies, times)
+    a, b, l = complex(packet.spec.a), complex(packet.spec.b), energies.params.l
+    w2, b2 = packet.weights ** 2, abs(b) ** 2
+    w_sum, s = np.sum(w2), np.einsum("...n,n->...", beat, w2)
+    A = np.einsum("...n,...n->...", e_plus,
+                  w2 * (abs(a) ** 2 + b2 / (2 * l + 1))
+                  + (w2 * (b2 * 2 * l / (2 * l + 1))) * beat)
+    cross = a.conjugate() * b * (w_sum + 2.0 * l * s) / (2 * l + 1)
+    n2 = b2 * (w_sum * (1.0 + 4.0 * l * l) + 4.0 * l * s.real) / (2 * l + 1) ** 2
     sx, sy, sz = 2.0 * cross.real, 2.0 * cross.imag, 1.0 - 2.0 * n2
     slen = np.sqrt(sx ** 2 + sy ** 2 + sz ** 2)
     return ObservableSeries(t=times, A=A, asq=np.abs(A) ** 2, sx=sx, sy=sy,

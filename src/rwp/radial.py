@@ -139,17 +139,8 @@ def _radial_rows(Z: int, l: int, ns: np.ndarray, r) -> np.ndarray:
     out = np.zeros((len(ns), len(r)))
     for c0 in range(0, len(r), _BLOCK_COLUMNS):
         cols = slice(c0, c0 + _BLOCK_COLUMNS)
-        r_blk = r[cols]
-        if l > 0:
-            # at r = 0 the start mantissa rho^l is 0 and every degree stays
-            # +0.0, which out already holds
-            live = r_blk != 0.0
-            if not live.all():
-                cols = np.arange(len(r))[cols][live]
-                r_blk = r_blk[live]
-        if len(r_blk):
-            out[:, cols] = _recurrence(2.0 * Z * r_blk / nf, lognorm, l,
-                                       k_top)
+        # r = 0 needs no skip: _recurrence's finite mask gives +0.0 there
+        out[:, cols] = _recurrence(2.0 * Z * r[cols] / nf, lognorm, l, k_top)
     return out
 
 

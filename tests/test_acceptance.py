@@ -9,10 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from rwp.core import (PhysicalParams, energy_splitting, energy_table, t_ls,
-                      time_scale_k)
-from rwp.observables import (autocorrelation, component_norms, densities,
-                             detect_revivals, observable_series,
+from rwp.core import (PhysicalParams, energy_splitting, energy_table,
+                      time_scales)
+from rwp.observables import (densities, detect_revivals, observable_series,
                              spin_expectations)
 from rwp.packet import PacketSpec, amplitudes_at, build_packet
 from rwp.radial import make_grid, radial_table
@@ -31,7 +30,7 @@ def fig4():
     s = 1.0 / math.sqrt(2.0)
     packet = build_packet(PacketSpec(n_av=80, sigma=2.0, a=s, b=s), params.l)
     energies = energy_table(params, packet.n_min, packet.n_max)
-    tls = t_ls(params, 80)
+    tls = time_scales(params, 80).t_ls
     series = observable_series(packet, energies,
                                np.linspace(0.0, 35.0 * tls, 7001))
     return params, packet, energies, tls, series
@@ -42,7 +41,8 @@ def test_criterion_1_definitional_spin_orbit_period():
     for Z in (1, 47, 92):
         params = PhysicalParams(Z=Z, l=1)
         for n_av in (20, 80, 150):
-            product = t_ls(params, n_av) * abs(energy_splitting(params, n_av))
+            product = (time_scales(params, n_av).t_ls
+                       * abs(energy_splitting(params, n_av)))
             worst = max(worst, abs(product / (2.0 * math.pi) - 1.0))
     report(1, worst < 1e-12,
            f"t_ls * |dE| = 2*pi, worst relative deviation {worst:.2e}")
@@ -52,7 +52,8 @@ def test_criterion_2_lowest_order_ratio():
     devs = {}
     for Z, tol in ((1, 1e-3), (92, 0.25)):
         params = PhysicalParams(Z=Z, l=1)
-        ratio = t_ls(params, 80) / time_scale_k(params, 80, 1)
+        scales = time_scales(params, 80)
+        ratio = scales.t_ls / scales.t_cl
         expected = 4.0 / (Z * params.alpha) ** 2
         devs[Z] = abs(ratio / expected - 1.0)
     ok = devs[1] < 1e-3 and devs[92] < 0.25
@@ -64,8 +65,8 @@ def test_criterion_2_lowest_order_ratio():
 def test_criterion_3_time_scale_ordering_scan():
     params = PhysicalParams(Z=92, l=1)
     n_values = np.arange(20, 151)
-    diff = np.array([t_ls(params, int(n)) - time_scale_k(params, int(n), 2)
-                     for n in n_values])
+    scales = [time_scales(params, int(n)) for n in n_values]
+    diff = np.array([s.t_ls - s.t_rev for s in scales])
     above_60_ok = bool(np.all(diff[n_values > 60] < 0.0))
     sign_change = np.nonzero(np.diff(np.sign(diff)))[0]
     crossover = (n_values[sign_change[0]] if len(sign_change) else None)
@@ -73,8 +74,8 @@ def test_criterion_3_time_scale_ordering_scan():
     report(3, above_60_ok and crossover_ok,
            f"T_ls < T_rev beyond n=60: {above_60_ok}; crossover in [40, 60]: "
            f"{crossover_ok} (T_ls/T_rev falls from "
-           f"{t_ls(params, 20) / time_scale_k(params, 20, 2):.2f} at n=20 to "
-           f"{t_ls(params, 150) / time_scale_k(params, 150, 2):.2f} at n=150, "
+           f"{scales[0].t_ls / scales[0].t_rev:.2f} at n=20 to "
+           f"{scales[-1].t_ls / scales[-1].t_rev:.2f} at n=150, "
            f"so any crossover lies below the scan)")
 
 
@@ -89,8 +90,8 @@ def test_criterion_4_unitarity_on_the_grid(fig4):
     norm = np.sum(grid.quad_w * (rho1 + rho2), axis=-1)
     n2_quad = np.sum(grid.quad_w * rho2, axis=-1)
     worst_norm = float(np.abs(norm - 1.0).max())
-    worst_n2 = float(np.abs(n2_quad
-                            - component_norms(packet, energies, times)[1]).max())
+    n2 = observable_series(packet, energies, times).N2
+    worst_n2 = float(np.abs(n2_quad - n2).max())
     report(4, worst_norm < 1e-6 and worst_n2 < 1e-6,
            f"quadrature norm dev {worst_norm:.2e}, "
            f"analytic-vs-quadrature N2 dev {worst_n2:.2e} (tol 1e-6)")
@@ -136,10 +137,9 @@ def test_criterion_8_component_transfer():
     packet = build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.0, b=1.0),
                           params.l)
     energies = energy_table(params, packet.n_min, packet.n_max)
-    tls = t_ls(params, 80)
+    tls = time_scales(params, 80).t_ls
     t = np.linspace(0.0, 1.2 * tls, 4001)
-    n2 = np.array([component_norms(packet, energies, ti)[1]
-                   for ti in t])
+    n2 = observable_series(packet, energies, t).N2
     minima = detect_revivals(t, -n2, prominence=0.1)
     assert minima
     t_min, neg_val = minima[0]
@@ -153,14 +153,14 @@ def test_criterion_8_component_transfer():
 
 def test_criterion_9_short_time_revival():
     params = PhysicalParams(Z=92, l=1)
-    t_cl = time_scale_k(params, 80, 1)
+    t_cl = time_scales(params, 80).t_cl
     peaks = {}
     for sigma in (1.0, 2.0):
         packet = build_packet(PacketSpec(n_av=80, sigma=sigma, a=0.0, b=1.0),
                               params.l)
         energies = energy_table(params, packet.n_min, packet.n_max)
         t = np.linspace(0.0, 2.0 * t_cl, 2001)
-        asq = np.abs(autocorrelation(packet, energies, t)) ** 2
+        asq = observable_series(packet, energies, t).asq
         found = detect_revivals(t, asq, window=(0.5 * t_cl, 2.0 * t_cl),
                                 prominence=0.1)
         assert found
@@ -202,8 +202,8 @@ def test_criterion_10_property_suite():
                   float(np.abs(np.abs(a0.c1) - np.abs(a1.c1)).max()),
                   float(np.abs(np.abs(a0.d1) - np.abs(a1.d1)).max()),
                   float(np.abs(np.abs(a0.c2) - np.abs(a1.c2)).max()),
-                  abs(abs(autocorrelation(packet, energies, t))
-                      - abs(autocorrelation(packet, shifted, t))))
+                  abs(abs(observable_series(packet, energies, t).A)
+                      - abs(observable_series(packet, shifted, t).A)))
     checks.append(("phase-shift invariance", dev < 1e-12, dev))
 
     # stationarity of the a=1, b=0 packet
@@ -212,9 +212,9 @@ def test_criterion_10_property_suite():
     for t in rng.uniform(0.0, 1e6, size=10):
         sx, sy, sz = spin_expectations(amplitudes_at(up, energies, t),
                                        params.l)
-        n1, n2 = component_norms(up, energies, t)
-        dev = max(dev, abs(sx), abs(sy), abs(sz - 1.0), abs(n1 - 1.0),
-                  abs(n2))
+        series = observable_series(up, energies, t)
+        dev = max(dev, abs(sx), abs(sy), abs(sz - 1.0), abs(series.N1 - 1.0),
+                  abs(series.N2))
     checks.append(("spin-up stationarity", dev < 1e-13, dev))
 
     # t = 0 spinor expectations

@@ -19,10 +19,10 @@ from scipy.integrate import simpson
 
 import rwp
 from rwp.cli import main, write_csv, write_pgm
-from rwp.core import (ATOMIC_TIME_SECONDS, PhysicalParams, energy_table, t_ls,
-                      t_ls2, time_scales)
+from rwp.core import (ATOMIC_TIME_SECONDS, PhysicalParams, energy_table,
+                      reduced_energy, time_scales)
 from rwp.errors import RwpError
-from rwp.observables import densities
+from rwp.observables import densities, observable_series
 from rwp.packet import PacketSpec, build_packet
 from rwp.radial import DEFAULT_GRID_POINTS, outer_radius, radial_table
 
@@ -98,9 +98,7 @@ class TestEnergies:
         main(["energies", "--Z", "92", "--n-min", "80", "--n-max", "80",
               "--out", str(out)])
         _, data = read_csv(out)
-        from rwp.core import dirac_energy
-        p = PhysicalParams(Z=92, l=1)
-        assert data[0][1] == dirac_energy(p, 80, 1.5)  # lossless
+        assert data[0][1] == reduced_energy(92, 80, 1.5)  # lossless
 
 
 class TestTimescales:
@@ -127,7 +125,7 @@ class TestTimescales:
         header, data = read_csv(out)
         assert header[-1] == "T_ls_approx_au"
         p = PhysicalParams(Z=92, l=1)
-        assert data[0][3] == pytest.approx(t_ls(p, 80), rel=1e-15)
+        assert data[0][3] == pytest.approx(time_scales(p, 80).t_ls, rel=1e-15)
 
 
 class TestObservables:
@@ -175,6 +173,22 @@ class TestObservables:
               str(5e-12), "--samples", "3", "--out", str(out)])
         _, data = read_csv(out)
         assert data[-1][0] == pytest.approx(5e-12, rel=1e-12)
+
+    def test_time_unit_au(self, tmp_path):
+        # the time column is the axis itself, and the observables are taken
+        # at those atomic-unit times (N2 falls from 1 to 0.56 over them)
+        out = tmp_path / "o.csv"
+        assert main(["observables", "--Z", "92", "--t-unit", "au", "--t-max",
+                     "1e4", "--samples", "5", "--out", str(out)]) == 0
+        header, data = read_csv(out)
+        t = np.linspace(0.0, 1e4, 5)
+        assert np.array_equal(data[:, 0], t)
+        params = PhysicalParams(Z=92, l=1)
+        packet = build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.0, b=1.0),
+                              params.l)
+        energies = energy_table(params, packet.n_min, packet.n_max)
+        assert np.array_equal(data[:, header.index("N2")],
+                              observable_series(packet, energies, t).N2)
 
 
 class TestDensity:
@@ -458,6 +472,14 @@ class TestBadInput:
         # n_av + 5 sigma above N_LIMIT, then not even finite
         (["energies", "--Z", "92", "--sigma", "1e300"], "InvalidRange"),
         (["density", "--Z", "92", "--sigma", "1e308"], "InvalidRange"),
+        # 711 PiB, beyond the user address space of a 64-bit kernel (at most
+        # 2^57 bytes): the allocation fails at once and touches no memory
+        (["observables", "--Z", "92", "--samples", "100000000000000000"],
+         "MemoryError"),
+        (["density", "--Z", "92", "--grid-points", "100000000000000001"],
+         "MemoryError"),
+        (["carpet", "--Z", "92", "--samples", "3",
+          "--grid-points", "100000000000000001"], "MemoryError"),
     ], ids=["t-max-inf", "sigma-nan", "a-nan", "samples-negative",
             "carpet-samples-zero", "carpet-t-max-inf", "times-nan",
             "density-grid-points-0", "density-grid-points-1",
@@ -468,7 +490,9 @@ class TestBadInput:
             "carpet-t-max-overflows-au", "carpet-t-max-zero",
             "carpet-t-max-negative", "a-square-overflows", "scan-reversed",
             "phase-overflows", "density-phase-overflows", "sigma-1e300",
-            "sigma-1e308"])
+            "sigma-1e308", "samples-unallocatable",
+            "density-grid-points-unallocatable",
+            "carpet-grid-points-unallocatable"])
     def test_rejected_before_writing(self, tmp_path, capsys, args, error):
         assert main(args + ["--out", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err
@@ -484,13 +508,26 @@ class TestBadInput:
         assert "t_max must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_config_file_unknown_figure_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("figure = 9\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["observables", "--config", str(cfg),
+                  "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "unknown figure preset 9" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("command, line, message", [
         ("carpet", "format = xyz", "format must be in"),
         ("energies", "t_unit = xyz", "t_unit must be in"),
-    ], ids=["format", "t-unit"])
+        ("observables", "n_av", "expected 'key = value'"),
+        ("observables", "n_av = 8.5", "bad value for n_av"),
+    ], ids=["format", "t-unit", "no-equals", "int-key-float-value"])
     def test_config_file_choice_rejected(self, tmp_path, capsys, command,
                                          line, message):
-        # the flags' choices= reject these; a config file must too
+        # the flags' choices= and types reject these values, and a line
+        # without '=' sets nothing; a config file must reject each
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"Z = 92\nsamples = 3\ngrid_points = 501\n{line}\n")
         out = tmp_path / "out"

@@ -7,12 +7,10 @@ import pytest
 from mpmath import mp, mpf
 
 from conftest import eps_mp, splitting_mp
-from rwp.core import (FINE_STRUCTURE_CONST, PhysicalParams, dirac_energy,
+from rwp.core import (FINE_STRUCTURE_CONST, PhysicalParams,
                       energy_derivatives, energy_splitting, energy_table,
-                      reduced_energy, t_ls, t_ls2, t_ls_lowest_order,
-                      time_scale_k, time_scales)
-from rwp.errors import (InvalidQuantumNumbers, SupercriticalCharge,
-                        UnsupportedOrder)
+                      reduced_energy, t_ls_lowest_order, time_scales)
+from rwp.errors import InvalidQuantumNumbers, SupercriticalCharge
 
 ALPHA = FINE_STRUCTURE_CONST
 
@@ -31,38 +29,27 @@ class TestDiracEnergy:
         (92, 80, 0.5), (92, 80, 1.5), (92, 150, 1.5),
     ])
     def test_extended_precision_oracle(self, Z, n, j):
-        p = PhysicalParams(Z=Z, l=1)
-        assert dirac_energy(p, n, j) == pytest.approx(
+        assert reduced_energy(Z, n, j) == pytest.approx(
             float(eps_mp(Z, n, j)), rel=1e-12)
 
     @pytest.mark.parametrize("scale", [10.0, 100.0])
     def test_nonrelativistic_limit(self, scale):
         # eps -> -Z^2/(2 n^2) as alpha -> 0; deviation shrinks like alpha^2
-        p = PhysicalParams(Z=5, l=1, alpha=ALPHA / scale)
         for n in (2, 10, 40):
             nr = -5.0 ** 2 / (2.0 * n ** 2)
-            rel = abs(dirac_energy(p, n, 1.5) / nr - 1.0)
+            rel = abs(reduced_energy(5, n, 1.5, ALPHA / scale) / nr - 1.0)
             assert rel < 2.0 * (5 * ALPHA / scale) ** 2
 
     def test_level_ordering_high_z(self):
-        p = PhysicalParams(Z=92, l=1)
-        assert dirac_energy(p, 80, 1.5) > dirac_energy(p, 80, 0.5)
+        assert reduced_energy(92, 80, 1.5) > reduced_energy(92, 80, 0.5)
 
     def test_bound_state_window(self):
         for Z in (1, 47, 92):
-            p = PhysicalParams(Z=Z, l=1)
             for n in (2, 10, 80):
                 for j in (0.5, 1.5):
-                    eps = dirac_energy(p, n, j)
+                    eps = reduced_energy(Z, n, j)
                     assert eps < 0.0
                     assert abs(eps) < Z ** 2 / 2.0
-
-    def test_invalid_quantum_numbers(self):
-        p = PhysicalParams(Z=1, l=1)
-        with pytest.raises(InvalidQuantumNumbers):
-            dirac_energy(p, 1, 0.5)  # n < l+1
-        with pytest.raises(InvalidQuantumNumbers):
-            dirac_energy(p, 5, 2.5)  # j not adjacent to l
 
     def test_supercritical_charge(self):
         with pytest.raises(SupercriticalCharge):
@@ -109,9 +96,9 @@ class TestEnergyTable:
         table = energy_table(p, l + 1, 410)
         ns = range(l + 1, 411)
         assert np.array_equal(table.eps_plus,
-                              [dirac_energy(p, n, l + 0.5) for n in ns])
+                              [reduced_energy(Z, n, l + 0.5) for n in ns])
         assert np.array_equal(table.eps_minus,
-                              [dirac_energy(p, n, l - 0.5) for n in ns])
+                              [reduced_energy(Z, n, l - 0.5) for n in ns])
         assert np.array_equal(table.omega, [energy_splitting(p, n) for n in ns])
         with pytest.raises(InvalidQuantumNumbers):
             energy_table(p, 9, 5)
@@ -150,51 +137,38 @@ class TestTimeScales:
 
     def test_kepler_period_z1(self):
         p = PhysicalParams(Z=1, l=1)
-        assert time_scale_k(p, 80, 1) == pytest.approx(
+        assert time_scales(p, 80).t_cl == pytest.approx(
             2.0 * math.pi * 80 ** 3, rel=1e-3)
 
     def test_revival_time_z1(self):
-        p = PhysicalParams(Z=1, l=1)
-        t_cl = time_scale_k(p, 80, 1)
-        assert time_scale_k(p, 80, 2) == pytest.approx(
-            (2.0 * 80 / 3.0) * t_cl, rel=5e-3)
+        scales = time_scales(PhysicalParams(Z=1, l=1), 80)
+        assert scales.t_rev == pytest.approx(
+            (2.0 * 80 / 3.0) * scales.t_cl, rel=5e-3)
 
     def test_spin_orbit_faster_than_revival_high_z(self):
-        p = PhysicalParams(Z=92, l=1)
-        assert t_ls(p, 80) < time_scale_k(p, 80, 2)
-
-    def test_unsupported_order(self):
-        p = PhysicalParams(Z=1, l=1)
-        with pytest.raises(UnsupportedOrder):
-            time_scale_k(p, 80, 4)
-
-    def test_branch_choice(self):
-        p = PhysicalParams(Z=92, l=1)
-        assert time_scale_k(p, 80, 1, "plus") != time_scale_k(p, 80, 1, "minus")
+        scales = time_scales(PhysicalParams(Z=92, l=1), 80)
+        assert scales.t_ls < scales.t_rev
 
 
 class TestSpinOrbitPeriod:
     @pytest.mark.parametrize("Z,n_av", [(1, 20), (47, 80), (92, 150)])
     def test_definitional_identity(self, Z, n_av):
         p = PhysicalParams(Z=Z, l=1)
-        assert t_ls(p, n_av) * abs(energy_splitting(p, n_av)) == pytest.approx(
+        t_ls = time_scales(p, n_av).t_ls
+        assert t_ls * abs(energy_splitting(p, n_av)) == pytest.approx(
             2.0 * math.pi, rel=1e-14)
 
     def test_lowest_order_ratio_z1(self):
-        p = PhysicalParams(Z=1, l=1)
-        ratio = t_ls(p, 80) / time_scale_k(p, 80, 1)
+        scales = time_scales(PhysicalParams(Z=1, l=1), 80)
+        ratio = scales.t_ls / scales.t_cl
         assert ratio == pytest.approx(4.0 / ALPHA ** 2, rel=1e-3)
 
     def test_lowest_order_ratio_z92(self):
         # Z alpha ~ 0.67: the leading-order formula is only a rough guide
-        p = PhysicalParams(Z=92, l=1)
-        ratio = t_ls(p, 80) / time_scale_k(p, 80, 1)
+        scales = time_scales(PhysicalParams(Z=92, l=1), 80)
+        ratio = scales.t_ls / scales.t_cl
         expected = 4.0 / (92 * ALPHA) ** 2
         assert abs(ratio / expected - 1.0) < 0.25
-
-    def test_t_ls2_arithmetic(self):
-        assert t_ls2(3, 1.0) == pytest.approx(2.0)
-        assert t_ls2(80, 1.0) == pytest.approx(160.0 / 3.0)
 
     def test_half_t_ls2_matches_omega_slope(self):
         # omega ~ n^-3 gives 2 pi / |domega/dn| ~ (n/3) T_ls ~ t_ls2 / 2
@@ -202,7 +176,7 @@ class TestSpinOrbitPeriod:
         h = 1
         slope = (energy_splitting(p, 81) - energy_splitting(p, 79)) / (2 * h)
         period = 2.0 * math.pi / abs(slope)
-        half = 0.5 * t_ls2(80, t_ls(p, 80))
+        half = 0.5 * time_scales(p, 80).t_ls2
         assert half == pytest.approx(period, rel=0.05)
 
     def test_nonrelativistic_scaling(self):
@@ -211,7 +185,8 @@ class TestSpinOrbitPeriod:
         vals = []
         for scale in (10.0, 100.0):
             p = PhysicalParams(Z=5, l=1, alpha=ALPHA / scale)
-            ratio = t_ls(p, 40) / time_scale_k(p, 40, 1)
+            scales = time_scales(p, 40)
+            ratio = scales.t_ls / scales.t_cl
             vals.append(ratio * (ALPHA / scale) ** 2)
         assert vals[0] == pytest.approx(vals[1], rel=1e-4)
         assert vals[0] == pytest.approx(4.0 / 25.0, rel=1e-3)
@@ -219,12 +194,10 @@ class TestSpinOrbitPeriod:
     def test_lowest_order_helper(self):
         p = PhysicalParams(Z=1, l=1)
         assert t_ls_lowest_order(p, 80) == pytest.approx(
-            4.0 / ALPHA ** 2 * time_scale_k(p, 80, 1), rel=1e-12)
+            4.0 / ALPHA ** 2 * time_scales(p, 80).t_cl, rel=1e-12)
 
 
 def test_time_scales_bundle(u92, u92_scales):
     assert u92_scales.t_cl < u92_scales.t_ls < u92_scales.t_rev
     assert u92_scales.t_ls2 == pytest.approx(
         (2.0 / 3.0) * 80 * u92_scales.t_ls, rel=1e-15)
-    secs = u92_scales.in_seconds()
-    assert secs.t_cl == pytest.approx(u92_scales.t_cl * 2.418884326e-17)

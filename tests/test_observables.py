@@ -12,11 +12,10 @@ from mpmath import mp, mpf
 
 from conftest import amplitude_densities, splitting_mp
 from rwp.cli import _ascending
-from rwp.core import PhysicalParams, energy_table, t_ls, time_scales
+from rwp.core import PhysicalParams, energy_table, time_scales
 from rwp.errors import EmptyWindow, InvalidRange, RangeMismatch
-from rwp.observables import (autocorrelation, component_norms, densities,
-                             detect_revivals, observable_series,
-                             spin_expectations, spin_length)
+from rwp.observables import (densities, detect_revivals, observable_series,
+                             spin_expectations)
 from rwp.packet import PacketSpec, amplitudes_at, build_packet
 from rwp.radial import outer_radius, radial_table
 
@@ -79,7 +78,7 @@ class TestDensities:
     def test_norm_conservation_random_times(self, down, u92_grid, u92_table,
                                             rng, z92):
         packet, energies = down
-        horizon = (2.0 / 3.0) * 80 * t_ls(z92, 80)
+        horizon = (2.0 / 3.0) * 80 * time_scales(z92, 80).t_ls
         times = rng.uniform(0.0, horizon, size=50)
         rho1, rho2 = densities(packet, energies, u92_table, times)
         norm = np.sum(u92_grid.quad_w * (rho1 + rho2), axis=-1)
@@ -90,10 +89,10 @@ class TestDensities:
     def test_quadrature_vs_analytic_component_norm(self, down, u92_grid,
                                                    u92_table, z92):
         packet, energies = down
-        t_half = 0.5 * t_ls(z92, 80)
+        t_half = 0.5 * time_scales(z92, 80).t_ls
         _, rho2 = densities(packet, energies, u92_table, [t_half])
         n2_quad = float(np.sum(u92_grid.quad_w * rho2[0]))
-        _, n2_analytic = component_norms(packet, energies, t_half)
+        n2_analytic = observable_series(packet, energies, t_half).N2
         assert abs(n2_quad - n2_analytic) < 0.05
         assert n2_quad == pytest.approx(n2_analytic, abs=1e-6)
 
@@ -108,6 +107,14 @@ class TestDensities:
         packet, energies = down
         table = radial_table(PhysicalParams(Z=92, l=2), 70, 90, u92_grid.r)
         with pytest.raises(RangeMismatch, match="l=2"):
+            densities(packet, energies, table, [0.0])
+
+    def test_z_mismatch(self, down, u92_grid):
+        # a Z = 50 table under Z = 92 energies would give quadrature norms
+        # far from 1 instead of an error
+        packet, energies = down
+        table = radial_table(PhysicalParams(Z=50, l=1), 70, 90, u92_grid.r)
+        with pytest.raises(RangeMismatch, match="Z=50"):
             densities(packet, energies, table, [0.0])
 
 
@@ -125,7 +132,7 @@ class TestDensitiesAgainstAmplitudes:
         energies = energy_table(params, packet.n_min, packet.n_max)
         r = np.linspace(0.0, outer_radius(params, packet.n_max), 1001)
         table = radial_table(params, packet.n_min, packet.n_max, r)
-        times = np.linspace(0.0, t_max * t_ls(params, n_av), 41)
+        times = np.linspace(0.0, t_max * time_scales(params, n_av).t_ls, 41)
         got = densities(packet, energies, table, times)
         want = amplitude_densities(packet, energies, table, times)
         peak = max(want[0].max(), want[1].max())
@@ -137,12 +144,13 @@ class TestDensitiesAgainstAmplitudes:
 class TestAutocorrelation:
     def test_initial_value(self, down):
         packet, energies = down
-        assert autocorrelation(packet, energies, 0.0) == pytest.approx(1.0 + 0j)
+        assert observable_series(packet, energies, 0.0).A == \
+            pytest.approx(1.0 + 0j)
 
     def test_bounded_by_one(self, down, rng):
         packet, energies = down
         t = rng.uniform(0.0, 1e7, size=100)
-        assert np.all(np.abs(autocorrelation(packet, energies, t))
+        assert np.all(np.abs(observable_series(packet, energies, t).A)
                       <= 1.0 + 1e-12)
 
     def test_single_n_periodicity(self, z92):
@@ -152,8 +160,8 @@ class TestAutocorrelation:
         energies = energy_table(z92, 80, 80)
         period = 2.0 * math.pi / energies.omega[0]
         t = np.linspace(0.0, 3.0 * period, 64)
-        asq = np.abs(autocorrelation(packet, energies, t)) ** 2
-        asq_shift = np.abs(autocorrelation(packet, energies, t + period)) ** 2
+        asq = observable_series(packet, energies, t).asq
+        asq_shift = observable_series(packet, energies, t + period).asq
         assert np.allclose(asq, asq_shift, atol=1e-12)
 
     def test_classical_period_peak(self, z92):
@@ -164,7 +172,7 @@ class TestAutocorrelation:
                 PacketSpec(n_av=80, sigma=sigma, a=0.0, b=1.0), z92.l)
             energies = energy_table(z92, packet.n_min, packet.n_max)
             t = np.linspace(0.5 * t_cl, 1.5 * t_cl, 400)
-            asq = np.abs(autocorrelation(packet, energies, t)) ** 2
+            asq = observable_series(packet, energies, t).asq
             t_peak = t[np.argmax(asq)]
             assert abs(t_peak / t_cl - 1.0) < 0.05
 
@@ -203,7 +211,7 @@ class TestSpinExpectations:
     def test_precession_sense(self, tilted, z92):
         # sy grows as +sin(omega t) early on for real positive a*b
         packet, energies = tilted
-        t_small = 0.01 * t_ls(z92, 80)
+        t_small = 0.01 * time_scales(z92, 80).t_ls
         _, sy, _ = spin_expectations(
             amplitudes_at(packet, energies, t_small), z92.l)
         assert sy > 0.0
@@ -219,7 +227,8 @@ class TestSpinExpectations:
 class TestComponentNorms:
     def test_initial_value(self, down, z92):
         packet, energies = down
-        n1, n2 = component_norms(packet, energies, 0.0)
+        series = observable_series(packet, energies, 0.0)
+        n1, n2 = series.N1, series.N2
         assert n2 == pytest.approx(1.0, abs=1e-14)
         assert n1 == pytest.approx(0.0, abs=1e-14)
 
@@ -229,22 +238,22 @@ class TestComponentNorms:
             z92.l)
         energies = energy_table(z92, 80, 80)
         t_half = math.pi / energies.omega[0]
-        n1, n2 = component_norms(packet, energies, t_half)
+        series = observable_series(packet, energies, t_half)
+        n1, n2 = series.N1, series.N2
         assert n2 == pytest.approx(1.0 / 9.0, rel=1e-10)
         assert n1 == pytest.approx(8.0 / 9.0, rel=1e-10)
 
     def test_sum_to_one(self, down, z92, rng):
         packet, energies = down
         for t in rng.uniform(0.0, 1e6, size=50):
-            n1, n2 = component_norms(packet, energies, t)
-            assert n1 + n2 == pytest.approx(1.0, abs=1e-15)
+            series = observable_series(packet, energies, t)
+            assert series.N1 + series.N2 == pytest.approx(1.0, abs=1e-15)
 
     def test_first_minimum_near_half_period(self, down, z92):
         packet, energies = down
-        tls = t_ls(z92, 80)
+        tls = time_scales(z92, 80).t_ls
         t = np.linspace(0.0, 1.0 * tls, 2000)
-        n2 = np.array([component_norms(packet, energies, ti)[1]
-                       for ti in t])
+        n2 = observable_series(packet, energies, t).N2
         minima = detect_revivals(t, -n2, prominence=0.1)
         assert minima
         t_min = minima[0][0]
@@ -258,15 +267,8 @@ class TestComponentNorms:
             # both read the same (e_+, beat) from _phases, so they differ
             # only by the rounding of their sums: at most 3.3e-16 over 4000
             # uniform times in [0, 1e5]
-            assert component_norms(packet, energies, t)[1] == \
+            assert observable_series(packet, energies, t).N2 == \
                 pytest.approx(n2_amp, abs=1e-15)
-
-
-class TestSpinLength:
-    def test_unit_cases(self):
-        assert spin_length(0.0, 0.0, 1.0) == 1.0
-        a, b = 0.6, 0.8
-        assert spin_length(2 * a * b, 0.0, a * a - b * b) == pytest.approx(1.0)
 
 
 class TestPhaseShiftInvariance:
@@ -277,24 +279,23 @@ class TestPhaseShiftInvariance:
             eps_plus=energies.eps_plus + 7.5,
             eps_minus=energies.eps_minus + 7.5)
         t = np.linspace(0.0, 1e4, 40)
-        asq_a = np.abs(autocorrelation(packet, energies, t)) ** 2
-        asq_b = np.abs(autocorrelation(packet, shifted, t)) ** 2
-        assert np.allclose(asq_a, asq_b, atol=1e-12)
+        series_a = observable_series(packet, energies, t)
+        series_b = observable_series(packet, shifted, t)
+        assert np.allclose(series_a.asq, series_b.asq, atol=1e-12)
         for ti in t[::8]:
             spins_a = spin_expectations(
                 amplitudes_at(packet, energies, ti), z92.l)
             spins_b = spin_expectations(
                 amplitudes_at(packet, shifted, ti), z92.l)
             assert np.allclose(spins_a, spins_b, atol=1e-12)
-            norms_a = component_norms(packet, energies, ti)
-            norms_b = component_norms(packet, shifted, ti)
-            assert np.allclose(norms_a, norms_b, atol=1e-12)
+        assert np.allclose(series_a.N1, series_b.N1, atol=1e-12)
+        assert np.allclose(series_a.N2, series_b.N2, atol=1e-12)
 
 
 class TestSeriesAndCarpet:
     def test_series_invariants(self, down, z92):
         packet, energies = down
-        tls = t_ls(z92, 80)
+        tls = time_scales(z92, 80).t_ls
         series = observable_series(packet, energies,
                                    np.linspace(0.0, 2.0 * tls, 200))
         assert series.asq[0] == pytest.approx(1.0, abs=1e-12)
@@ -309,14 +310,14 @@ class TestSeriesAndCarpet:
         packet, energies = down
         rho1, rho2 = densities(packet, energies, u92_table, [0.0])
         axis1, axis2 = densities(packet, energies, u92_table,
-                                 [0.0, 0.3 * t_ls(z92, 80)])
+                                 [0.0, 0.3 * time_scales(z92, 80).t_ls])
         assert rho1.shape == (1, len(u92_grid))
         assert np.array_equal(rho1[0], axis1[0])
         assert np.array_equal(rho2[0], axis2[0])
 
     def test_shape(self, down, u92_grid, u92_table, z92):
         packet, energies = down
-        t_axis = np.linspace(0.0, t_ls(z92, 80), 7)
+        t_axis = np.linspace(0.0, time_scales(z92, 80).t_ls, 7)
         rho1, rho2 = densities(packet, energies, u92_table, t_axis)
         assert rho1.shape == (7, len(u92_grid))
         assert rho2.shape == (7, len(u92_grid))
@@ -324,7 +325,7 @@ class TestSeriesAndCarpet:
     def test_lower_component_mass_oscillates_with_t_ls(self, down, u92_grid,
                                                        u92_table, z92):
         packet, energies = down
-        tls = t_ls(z92, 80)
+        tls = time_scales(z92, 80).t_ls
         t_axis = np.linspace(0.0, 2.0 * tls, 81)
         _, rho2 = densities(packet, energies, u92_table, t_axis)
         mass2 = np.sum(u92_grid.quad_w * rho2, axis=-1)
@@ -338,7 +339,8 @@ class TestSeriesAndCarpet:
                                          z92):
         # each row is the one-time call at its time, in any order of times
         packet, energies = down
-        t_axis = np.linspace(0.0, t_ls(z92, 80), 5)[[3, 0, 4, 1, 2]]
+        tls = time_scales(z92, 80).t_ls
+        t_axis = np.linspace(0.0, tls, 5)[[3, 0, 4, 1, 2]]
         rho1, rho2 = densities(packet, energies, u92_table, t_axis)
         for i, t in enumerate(t_axis):
             one1, one2 = densities(packet, energies, u92_table, [t])
@@ -368,7 +370,7 @@ class TestClosedFormsAgainstAmplitudes:
         packet = build_packet(PacketSpec(n_av=n_av, sigma=2.0, a=a, b=b),
                               params.l)
         energies = energy_table(params, packet.n_min, packet.n_max)
-        t = np.linspace(0.0, 35.0 * t_ls(params, n_av), samples)
+        t = np.linspace(0.0, 35.0 * time_scales(params, n_av).t_ls, samples)
         return packet, energies, t
 
     def test_series_matches_amplitude_oracle(self, case):
@@ -424,7 +426,7 @@ class TestSpinOrbitMatrixOracle:
         b = math.sin(theta) * cmath.exp(1j * phases[1])
         packet = build_packet(PacketSpec(n_av=n_av, sigma=sigma, a=a, b=b), l)
         energies = energy_table(params, packet.n_min, packet.n_max)
-        t = t_over_tls * t_ls(params, n_av)
+        t = t_over_tls * time_scales(params, n_av).t_ls
         eps, omega = energies.eps_plus, energies.omega  # rows = packet n
 
         k = omega / (l + 0.5)
@@ -470,7 +472,7 @@ class TestSpinBeatPhase:
             PacketSpec(n_av=n, sigma=2.0, a=s, b=s, n_min=n, n_max=n),
             params.l)
         energies = energy_table(params, n, n)
-        t = 35.0 * t_ls(params, n)
+        t = 35.0 * time_scales(params, n).t_ls
         series = observable_series(packet, energies, np.array([t]))
         a, b, l = packet.spec.a, packet.spec.b, params.l
         got = math.atan2(series.sy[0],
@@ -488,7 +490,7 @@ class TestDetectRevivals:
         energies = energy_table(z92, 80, 80)
         period = 2.0 * math.pi / energies.omega[0]
         t = np.linspace(0.0, 3.2 * period, 3000)
-        asq = np.abs(autocorrelation(packet, energies, t)) ** 2
+        asq = observable_series(packet, energies, t).asq
         peaks = detect_revivals(t, asq, prominence=0.1)
         assert len(peaks) == 3
         for k, (t_peak, value) in enumerate(peaks, start=1):
