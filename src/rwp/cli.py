@@ -310,7 +310,10 @@ def cmd_carpet(cfg: RunConfig) -> list:
     for name, rho in (("rho1", rho1), ("rho2", rho2)):
         if pgm:
             path = _out_path(cfg, "rwp_carpet.pgm", f"_{name}")
-            write_pgm(path, np.rint(255.0 * rho / rho_max))
+            # in place, the bytes of np.rint(255.0 * rho / rho_max)
+            rho *= 255.0
+            rho /= rho_max
+            write_pgm(path, np.rint(rho, out=rho))
         else:
             path = _out_path(cfg, "rwp_carpet.csv", f"_{name}")
             write_csv(path, header, [t_au / unit_au, rho])

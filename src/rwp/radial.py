@@ -17,6 +17,10 @@ power-of-two exponent per grid point, so no intermediate ever leaves the
 double range.  A table runs the recurrence for all its n at once, over
 blocks of radii small enough to stay in cache; a row that reaches its
 degree drops out, and ``radial_eval`` is the same routine with one row.
+The rescale check runs only every few steps, as often as a growth bound per
+block requires, and gives the bits of a check at every step.  A radius so
+far out that its start weight lies below 2^(-2^40), or that 2 Z r/n
+overflows, gives +0.0.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ DEFAULT_GRID_POINTS = 5001
 _RESCALE_POW = 500
 _RESCALE_UP = 2.0 ** _RESCALE_POW
 _RESCALE_DOWN = 2.0 ** -_RESCALE_POW
+# least log2 of a start weight that the recurrence runs (see _recurrence)
+_LOG2W_MIN = -2.0 ** 40
 # Radii per block of the all-n recurrence, so that a block's rows stay in
 # cache.  radial_table on the 5001-point grid, l = 1, best of 5 (2-core x86-64,
 # AVX-512), Z 92 n 157-197 / Z 1 n 390-410 / Z 92 n 70-90, in seconds:
@@ -122,8 +128,9 @@ def _radial_rows(Z: int, l: int, ns: np.ndarray, r) -> np.ndarray:
     Runs the recurrence for all rows at once, one block of _BLOCK_COLUMNS
     radii at a time.  Row n stops after k_top = n - l - 1 steps; since ``ns``
     ascends, the rows still running at step k are a suffix [i0:] and a row
-    freezes by advancing i0.  Each entry takes exactly the arithmetic of a
-    lone row, so a row does not depend on which other n or r share its call.
+    freezes by advancing i0.  Each entry takes the arithmetic of a lone row
+    up to exact power-of-two rescales, whose steps depend on the block, so a
+    row's bits do not depend on which other n or r share its call.
     """
     if ns[0] < l + 1 or l < 0 or Z < 1:
         raise InvalidQuantumNumbers(f"invalid (Z, n, l) = ({Z}, {ns[0]}, {l})")
@@ -139,9 +146,28 @@ def _radial_rows(Z: int, l: int, ns: np.ndarray, r) -> np.ndarray:
     out = np.zeros((len(ns), len(r)))
     for c0 in range(0, len(r), _BLOCK_COLUMNS):
         cols = slice(c0, c0 + _BLOCK_COLUMNS)
-        # r = 0 needs no skip: _recurrence's finite mask gives +0.0 there
-        out[:, cols] = _recurrence(2.0 * Z * r[cols] / nf, lognorm, l, k_top)
+        # r = 0 and rho = inf (r near the double limit) need no skip:
+        # _recurrence's dead mask gives +0.0 there
+        with np.errstate(over="ignore"):
+            rho = 2.0 * Z * r[cols] / nf
+        out[:, cols] = _recurrence(rho, lognorm, l, k_top)
     return out
+
+
+def _check_stride(k_max: int, alpha: int, rho_max: float) -> int:
+    """Steps between rescale checks of a block whose rows run to degree
+    k_max over rho <= rho_max.
+
+    A step forms (2k+1+alpha-rho) F_k - (k+alpha) F_{k-1}, so no product,
+    difference or quotient of a step exceeds G = 3 k_max + 1 + 2 alpha +
+    rho_max times max(|F_k|, |F_{k-1}|).  A check leaves both below 2^523
+    (a value below 2^1023 scaled by 2^-500, or one left at <= 2^500), and so
+    does the start (F_0 < 2, F_1 < 2 G), so stride steps with G^stride <=
+    2^500 keep every value below 2^1023.  A live rho stays below 2^41
+    (_LOG2W_MIN), so the stride is at least 11 at any k_max < 2^40.
+    """
+    return int(_RESCALE_POW // math.log2(3.0 * k_max + 1 + 2 * alpha
+                                         + rho_max))
 
 
 def _recurrence(rho, lognorm, l, k_top):
@@ -152,16 +178,25 @@ def _recurrence(rho, lognorm, l, k_top):
         with np.errstate(divide="ignore", invalid="ignore"):
             logw = lognorm - 0.5 * rho + l * np.log(rho)
     alpha = 2 * l + 1
-    finite = np.isfinite(logw)
+    log2w = logw / _LN2
+    # A start weight below 2^(-2^40), or a NaN one (rho = inf), is dead:
+    # e^(-rho/2) at rho > 2^40 stays 0 times any polynomial factor (1 + rho)^k
+    # with k < 10^9.  Dead columns run on rho = 0 with F = 0 and give +0.0;
+    # r = 0 at l > 0 (log 0 = -inf) is one.  Above the cutoff expo fits int64
+    # and logw - expo ln2 is within 2^-11 of [0, ln 2), so a start mantissa
+    # lies in [1, 2) up to rounding.
+    live = log2w >= _LOG2W_MIN
+    rho = np.where(live, rho, 0.0)
     expo = np.zeros(rho.shape, dtype=np.int64)
-    expo[finite] = np.floor(logw[finite] / _LN2).astype(np.int64)
+    expo[live] = np.floor(log2w[live]).astype(np.int64)
     f_prev = np.zeros(rho.shape)  # degree 0: L_0 = 1
-    f_prev[finite] = np.exp(logw[finite] - expo[finite] * _LN2)
+    f_prev[live] = np.exp(logw[live] - expo[live] * _LN2)
     out = np.empty(rho.shape)
     i0 = int(np.searchsorted(k_top, 0, side="right"))
     np.ldexp(f_prev[:i0], expo[:i0], out=out[:i0])
     if i0 == len(rho):
         return out
+    stride = _check_stride(int(k_top[-1]), alpha, float(rho.max()))
     f_cur = np.empty(rho.shape)
     buf = np.empty(rho.shape)
     np.multiply(f_prev[i0:], (1.0 + alpha) - rho[i0:], out=f_cur[i0:])
@@ -180,10 +215,21 @@ def _recurrence(rho, lognorm, l, k_top):
         fp /= k + 1.0
         f_prev, f_cur = f_cur, f_prev
         fp, fc = fc, fp
-        # only large |F| is rescaled: a start mantissa lies in [1, 2) and a
-        # step is one subtraction, 0 or >= one ulp of its larger operand, so
-        # two consecutive near-zero values cannot occur
+        if k % stride:
+            continue
+        # Rescale an entry when F_k or F_{k-1} exceeds 2^500: with checks
+        # stride steps apart, F_{k-1} can be large while F_k is not.  A row
+        # that rescales every step instead (the test reference) ends with the
+        # same bits: scaling both buffers by 2^-500 scales every later
+        # product, difference and quotient exactly, as nothing overflows
+        # (_check_stride) or goes subnormal (a checked row holds at most the
+        # rescales of the every-step one, so its values are no smaller), and
+        # ldexp rounds the same real number the same way.  Only large |F|
+        # is rescaled: a start mantissa lies in [1, 2) and a step is one
+        # subtraction, 0 or >= one ulp of its larger operand, so two
+        # consecutive near-zero values cannot occur.
         np.abs(fc, out=tmp)
+        np.maximum(tmp, np.abs(fp), out=tmp)
         if tmp.max() > _RESCALE_UP:
             big = tmp > _RESCALE_UP
             fc[big] *= _RESCALE_DOWN

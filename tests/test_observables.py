@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from conftest import amplitude_densities, splitting_mp
 from rwp.cli import _ascending
 from rwp.core import PhysicalParams, energy_table, time_scales
 from rwp.errors import EmptyWindow, InvalidRange, RangeMismatch
-from rwp.observables import (densities, detect_revivals, observable_series,
-                             spin_expectations)
+from rwp.observables import (_BLOCK_ELEMENTS, densities, detect_revivals,
+                             observable_series, spin_expectations)
 from rwp.packet import PacketSpec, amplitudes_at, build_packet
 from rwp.radial import outer_radius, radial_table
 
@@ -346,6 +347,43 @@ class TestSeriesAndCarpet:
             one1, one2 = densities(packet, energies, u92_table, [t])
             assert np.array_equal(rho1[i], one1[0])
             assert np.array_equal(rho2[i], one2[0])
+
+    def test_blocked_rows_equal_snapshots(self, down, u92_grid, u92_table,
+                                          z92, rng):
+        # three full time blocks and a ragged fourth, in shuffled order: each
+        # row is the one-time call at its time, whichever block it lands in
+        packet, energies = down
+        step = _BLOCK_ELEMENTS // len(u92_grid)
+        t_axis = rng.permutation(np.linspace(
+            0.0, 2.0 * time_scales(z92, 80).t_ls, 3 * step + 2))
+        rho1, rho2 = densities(packet, energies, u92_table, t_axis)
+        assert rho1.shape == rho2.shape == (3 * step + 2, len(u92_grid))
+        for i, t in enumerate(t_axis):
+            one1, one2 = densities(packet, energies, u92_table, [t])
+            assert np.array_equal(rho1[i], one1[0])
+            assert np.array_equal(rho2[i], one2[0])
+
+    def test_empty_time_axis(self, down, u92_grid, u92_table):
+        packet, energies = down
+        rho1, rho2 = densities(packet, energies, u92_table, [])
+        assert rho1.shape == rho2.shape == (0, len(u92_grid))
+        # the energy table is still checked when no time runs
+        short = energy_table(PhysicalParams(Z=92, l=1), 75, 90)
+        with pytest.raises(RangeMismatch, match="energy table"):
+            densities(packet, short, u92_table, [])
+
+    def test_peak_memory_of_a_carpet(self, down, u92_grid, u92_table, z92):
+        # the fig-6 shape: besides the two 201 x R outputs only block-sized
+        # temporaries are live (a single block held 2.5x the outputs)
+        packet, energies = down
+        t_axis = np.linspace(0.0, 2.0 * time_scales(z92, 80).t_ls, 201)
+        tracemalloc.start()
+        try:
+            rho1, rho2 = densities(packet, energies, u92_table, t_axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (rho1.nbytes + rho2.nbytes)
 
     @pytest.mark.parametrize("t_axis", [[], [0.0, 0.0], [1.0, 0.5]])
     def test_carpet_rejects_bad_time_axis(self, t_axis):

@@ -9,8 +9,8 @@ from scipy.special import eval_genlaguerre
 
 from rwp.core import PhysicalParams
 from rwp.errors import InvalidGridSpec, InvalidQuantumNumbers, LengthMismatch
-from rwp.radial import (DEFAULT_GRID_POINTS, inner_product, make_grid,
-                        outer_radius, radial_eval, radial_table,
+from rwp.radial import (DEFAULT_GRID_POINTS, _check_stride, inner_product,
+                        make_grid, outer_radius, radial_eval, radial_table,
                         simpson_weights)
 
 
@@ -23,11 +23,14 @@ def reference_radial(Z, n, l, r):
 
 
 # radial_eval as the package had it before radial_table ran all n at once:
-# one row per call.  The bit-for-bit reference of the blocked recurrence.
+# one row per call, checked for rescaling at every step.  The bit-for-bit
+# reference of the blocked recurrence, which checks every few steps.  A radius
+# whose start weight lies below 2^(-2^40) gives +0.0, as in the package.
 _LN2 = math.log(2.0)
 _RESCALE_POW = 500
 _RESCALE_UP = 2.0 ** _RESCALE_POW
 _RESCALE_DOWN = 2.0 ** -_RESCALE_POW
+_LOG2W_MIN = -2.0 ** 40
 
 
 def ref_radial_eval(Z: int, n: int, l: int, r) -> np.ndarray:
@@ -36,7 +39,8 @@ def ref_radial_eval(Z: int, n: int, l: int, r) -> np.ndarray:
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r_arr < 0):
         raise InvalidQuantumNumbers("r must be >= 0")
-    rho = 2.0 * Z * r_arr / n
+    with np.errstate(over="ignore"):
+        rho = 2.0 * Z * r_arr / n
 
     lognorm = (1.5 * math.log(2.0 * Z / n)
                + 0.5 * (math.lgamma(n - l) - math.log(2.0 * n)
@@ -45,11 +49,12 @@ def ref_radial_eval(Z: int, n: int, l: int, r) -> np.ndarray:
         logw = lognorm - 0.5 * rho + l * np.log(rho)
     if l == 0:
         logw = lognorm - 0.5 * rho  # rho^0 = 1 even at r = 0
-    finite = np.isfinite(logw)
+    live = logw / _LN2 >= _LOG2W_MIN
+    rho[~live] = 0.0
     expo = np.zeros(len(rho), dtype=np.int64)
-    expo[finite] = np.floor(logw[finite] / _LN2).astype(np.int64)
+    expo[live] = np.floor(logw[live] / _LN2).astype(np.int64)
     mant = np.zeros(len(rho))
-    mant[finite] = np.exp(logw[finite] - expo[finite] * _LN2)
+    mant[live] = np.exp(logw[live] - expo[live] * _LN2)
 
     alpha = 2 * l + 1
     k_top = n - l - 1
@@ -192,6 +197,19 @@ class TestRadialEval:
         assert isinstance(v, float)
         assert v == ref_radial_eval(Z, n, l, r)
 
+    def test_huge_finite_radius_is_positive_zero(self):
+        # rho = 1e20 puts the start exponent past int64, and 2 Z r/n
+        # overflows to inf at r = 1e308: both are +0.0, with no warning
+        v = radial_eval(1, 2, 1, 1e20)
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
+        got = radial_table(PhysicalParams(Z=136, l=1), 2, 6,
+                           [1e-3, 1e308]).values
+        assert np.array_equal(got[:, 1], np.zeros(5))
+        assert not np.any(np.signbit(got[:, 1]))
+        assert np.array_equal(got[:, 0], [radial_eval(136, n, 1, 1e-3)
+                                          for n in range(2, 7)])
+        assert np.all(got[:, 0] > 0.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_radius_rejected(self, bad):
         with pytest.raises(InvalidQuantumNumbers, match="finite"):
@@ -234,6 +252,36 @@ class TestRadialTable:
                              for n in range(n_min, n_max + 1)])
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_wide_radii_bit_identical_to_reference(self):
+        # every order of magnitude a radius can take, up to N_LIMIT: the
+        # table checks for rescaling every few steps, the reference at every
+        # step, and no bit differs (sign included)
+        r = np.geomspace(1e-6, 1e300, 200)
+        got = radial_table(PhysicalParams(Z=1, l=1), 2, 1000, r).values
+        for n in (2, 3, 500, 999, 1000):
+            ref = ref_radial_eval(1, n, 1, r)
+            assert np.array_equal(got[n - 2], ref)
+            assert np.array_equal(np.signbit(got[n - 2]), np.signbit(ref))
+
+    def test_rescale_between_strided_checks(self):
+        # n = 1000 around the turning point: checks run 38 steps apart, and
+        # R / 2^(start exponent) lies far past the double range, so the
+        # recurrence must have rescaled at least twice
+        Z, n, l = 1, 1000, 1
+        r = np.linspace(1.6e6, 2.2e6, 301)
+        rho = 2.0 * Z * r / n
+        assert _check_stride(n - l - 1, 2 * l + 1, rho.max()) == 38
+        got = radial_table(PhysicalParams(Z=Z, l=l), n, n, r).values[0]
+        ref = ref_radial_eval(Z, n, l, r)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        lognorm = (1.5 * math.log(2.0 * Z / n)
+                   + 0.5 * (math.lgamma(n - l) - math.log(2.0 * n)
+                            - math.lgamma(n + l + 1)))
+        start = np.floor((lognorm - 0.5 * rho + l * np.log(rho)) / _LN2)
+        assert np.all(got != 0.0)
+        assert np.all(np.log2(np.abs(got)) - start > 2 * 1024)
 
     def test_norms(self, u92, u92_grid, u92_table):
         for i in range(len(u92_table.n_range)):
