@@ -2,8 +2,11 @@
 
 Every setting lives in one typed ``RunConfig``, checked when it is built from
 its defaults < --figure preset < config file < explicit command-line flag.
-Config files are plain ``key = value`` lines with ``#`` comments, keys named
-like the flags (``n_av``, ``t_max``...).
+Each flag is declared once, in ``_FLAGS``; each subcommand in ``COMMANDS``
+offers only the flags of the settings it reads, so a flag it would ignore is
+a usage error.  Config files are plain ``key = value`` lines with ``#``
+comments, keys named like the flags (``n_av``, ``t_max``...); they, like the
+presets, may set any setting, so one file can serve several commands.
 
 Exit status: 0 success, 1 domain error (bad physics input, a non-finite or
 out-of-range setting, an output file that cannot be written, an array too
@@ -24,7 +27,7 @@ from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST, PhysicalParams,
                    energy_table, t_ls_lowest_order, time_scales)
 from .errors import InvalidRange, RwpError
 from .observables import densities, observable_series
-from .packet import PacketSpec, build_packet, truncation_bounds
+from .packet import N_LIMIT, PacketSpec, build_packet, truncation_bounds
 from .radial import (DEFAULT_GRID_POINTS, make_grid, outer_radius,
                      radial_table)
 
@@ -74,20 +77,52 @@ class RunConfig:
         if self.grid_points < 501 or self.grid_points % 2 == 0:
             raise RwpError(
                 f"grid_points must be odd and >= 501, got {self.grid_points}")
+        # numpy raises ValueError for an array of more than sys.maxsize bytes
+        if max(self.samples, self.grid_points) > sys.maxsize // 8:
+            raise RwpError(f"samples and grid_points must fit one float64 array, "
+                           f"got {self.samples} and {self.grid_points}")
         if self.t_unit not in TIME_UNITS:
             raise RwpError(f"t_unit must be in {TIME_UNITS}, got {self.t_unit!r}")
         if self.format not in (*FORMATS, None):
             raise RwpError(f"format must be in {FORMATS}, got {self.format!r}")
         if self.scan is not None and self.scan[0] > self.scan[1]:
             raise RwpError(f"scan needs N_MIN <= N_MAX, got {self.scan}")
+        if max([self.n_av, *(self.scan or [])]) > N_LIMIT:
+            raise InvalidRange(f"n_av and scan must be <= N_LIMIT = {N_LIMIT}, "
+                               f"got n_av={self.n_av}, scan={self.scan}")
 
 
-# the keys a config file may set; lists and booleans are flag- or preset-only
-_CONFIG_TYPES = {
-    "Z": int, "l": int, "n_av": int, "sigma": float, "a": float, "b": float,
-    "n_min": int, "n_max": int, "t_max": float, "t_unit": str, "samples": int,
-    "grid_points": int, "figure": int, "format": str, "out": str,
+# every flag once: its setting (the flag is --n-av for n_av) -> argparse options
+_FLAGS = {
+    "config": dict(metavar="FILE", help="key = value config file"),
+    "figure": dict(type=int, choices=range(1, 7), help="expand a figure preset"),
+    "Z": dict(type=int, help="nuclear charge"),
+    "l": dict(type=int, help="orbital angular momentum (>= 1)"),
+    "out": dict(help="output path (suffixes added for multi-file)"),
+    "n_av": dict(type=int, help="mean principal quantum number"),
+    "sigma": dict(type=float, help="Gaussian width in n"),
+    "a": dict(type=float, help="upper spinor amplitude"),
+    "b": dict(type=float, help="lower spinor amplitude"),
+    "n_min": dict(type=int, help="lower n truncation (default n_av - 5 sigma)"),
+    "n_max": dict(type=int, help="upper n truncation (default n_av + 5 sigma)"),
+    "t_max": dict(type=float, help="time span in the chosen unit"),
+    "t_unit": dict(choices=TIME_UNITS, help="time unit for input and output"),
+    "samples": dict(type=int, help="number of time samples"),
+    "grid_points": dict(type=int, help="radial points, odd, >= 501 (default "
+                        f"{DEFAULT_GRID_POINTS}): quadrature points for "
+                        "density, image columns for carpet"),
+    "format": dict(choices=FORMATS, help="output format"),
+    "times": dict(nargs="+", type=float, help="snapshot times in the chosen unit"),
+    "scan": dict(nargs=2, type=int, metavar=("N_MIN", "N_MAX"),
+                 help="tabulate a range of n_av"),
+    "au": dict(action="store_true", help="emit atomic time units, not seconds"),
+    "with_approx": dict(action="store_true",
+                        help="append the lowest-order T_ls column"),
 }
+
+# the keys a config file may set, for any command; lists and booleans are not
+_CONFIG_TYPES = {key: spec.get("type", str) for key, spec in _FLAGS.items()
+                 if key != "config" and not {"nargs", "action"} & spec.keys()}
 
 FIGURE_PRESETS = {
     # short-time density snapshots of the spin-down packet
@@ -167,11 +202,8 @@ def _time_au(key: str, value: float, unit_au: float) -> float:
 
 
 def _out_path(cfg: RunConfig, default: str, suffix: str = "") -> str:
-    path = cfg.out or default
-    if suffix:
-        stem, ext = os.path.splitext(path)
-        path = f"{stem}{suffix}{ext}"
-    return path
+    stem, ext = os.path.splitext(cfg.out or default)
+    return f"{stem}{suffix}{ext}"
 
 
 def write_csv(path: str, header: list, columns: list):
@@ -202,6 +234,20 @@ def write_pgm(path: str, pixels: np.ndarray):
             fh.write(" ".join(_PIXEL_TEXT[row.astype(np.intp)].tolist()) + "\n")
 
 
+COMMANDS = {}  # subcommand -> its cmd_* function; a tracer may rebind values
+_PACKET = ("n_av", "sigma", "a", "b", "n_min", "n_max")
+
+
+def _command(help_text: str, *reads: str):
+    """Register cmd_<name> as subcommand <name> with its help line and the
+    settings it reads besides config, figure, Z, l and out."""
+    def register(fn):
+        fn.help, fn.reads = help_text, reads
+        COMMANDS[fn.__name__.removeprefix("cmd_")] = fn
+        return fn
+    return register
+
+
 def _packet_spec(cfg: RunConfig) -> PacketSpec:
     return PacketSpec(n_av=cfg.n_av, sigma=cfg.sigma, a=cfg.a, b=cfg.b,
                       n_min=cfg.n_min, n_max=cfg.n_max)
@@ -212,6 +258,8 @@ def _packet_and_energies(cfg: RunConfig, params: PhysicalParams):
     return packet, energy_table(params, packet.n_min, packet.n_max)
 
 
+@_command("fine-structure doublets and splitting frequencies",
+          "n_av", "sigma", "n_min", "n_max")
 def cmd_energies(cfg: RunConfig) -> list:
     params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     table = energy_table(params, *truncation_bounds(_packet_spec(cfg), params.l))
@@ -223,11 +271,12 @@ def cmd_energies(cfg: RunConfig) -> list:
     return [path]
 
 
+@_command("characteristic times T_cl, T_rev, T_ls, T_ls2",
+          "n_av", "scan", "au", "with_approx")
 def cmd_timescales(cfg: RunConfig) -> list:
     params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     n_values = range(cfg.scan[0], cfg.scan[1] + 1) if cfg.scan else [cfg.n_av]
-    factor = 1.0 if cfg.au else ATOMIC_TIME_SECONDS
-    unit = "au" if cfg.au else "s"
+    factor, unit = (1.0, "au") if cfg.au else (ATOMIC_TIME_SECONDS, "s")
     scales = [time_scales(params, n_av) for n_av in n_values]
     header = ["n_av"] + [f"T_{key}_{unit}" for key in ("cl", "rev", "ls", "ls2")]
     columns = [np.array(n_values, dtype=float)] + [
@@ -242,6 +291,8 @@ def cmd_timescales(cfg: RunConfig) -> list:
     return [path]
 
 
+@_command("autocorrelation, spin expectations, component norms",
+          *_PACKET, "t_max", "t_unit", "samples")
 def cmd_observables(cfg: RunConfig) -> list:
     params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     unit_au = _time_unit_au(cfg, params)
@@ -264,6 +315,8 @@ def cmd_observables(cfg: RunConfig) -> list:
     return written
 
 
+@_command("component densities at chosen times",
+          *_PACKET, "t_unit", "grid_points", "times")
 def cmd_density(cfg: RunConfig) -> list:
     params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     unit_au = _time_unit_au(cfg, params)
@@ -291,6 +344,8 @@ def _ascending(t_au: np.ndarray) -> np.ndarray:
     return t_au
 
 
+@_command("space-time density grids (PGM or CSV)",
+          *_PACKET, "t_max", "t_unit", "samples", "grid_points", "format")
 def cmd_carpet(cfg: RunConfig) -> list:
     params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     unit_au = _time_unit_au(cfg, params)
@@ -321,79 +376,24 @@ def cmd_carpet(cfg: RunConfig) -> list:
     return written
 
 
-COMMANDS = {
-    "energies": cmd_energies,
-    "timescales": cmd_timescales,
-    "observables": cmd_observables,
-    "density": cmd_density,
-    "carpet": cmd_carpet,
-}
-
-
-def _add_common_options(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", metavar="FILE", help="key = value config file")
-    sub.add_argument("--Z", type=int, help="nuclear charge")
-    sub.add_argument("--l", type=int, help="orbital angular momentum (>= 1)")
-    sub.add_argument("--n-av", dest="n_av", type=int,
-                     help="mean principal quantum number")
-    sub.add_argument("--sigma", type=float, help="Gaussian width in n")
-    sub.add_argument("--a", type=float, help="upper spinor amplitude")
-    sub.add_argument("--b", type=float, help="lower spinor amplitude")
-    sub.add_argument("--n-min", dest="n_min", type=int,
-                     help="lower n truncation (default n_av - 5 sigma)")
-    sub.add_argument("--n-max", dest="n_max", type=int,
-                     help="upper n truncation (default n_av + 5 sigma)")
-    sub.add_argument("--t-max", dest="t_max", type=float,
-                     help="time span in the chosen unit")
-    sub.add_argument("--t-unit", dest="t_unit", choices=TIME_UNITS,
-                     help="time unit for input and output")
-    sub.add_argument("--samples", type=int, help="number of time samples")
-    sub.add_argument("--grid-points", dest="grid_points", type=int,
-                     help="radial points, odd, >= 501 (default "
-                          f"{DEFAULT_GRID_POINTS}): quadrature points for "
-                          "density, image columns for carpet")
-    sub.add_argument("--figure", type=int, choices=range(1, 7),
-                     help="expand a figure preset")
-    sub.add_argument("--format", choices=FORMATS, help="output format")
-    sub.add_argument("--out", help="output path (suffixes added for multi-file)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rwp",
         description="Spin-carrying radial wave packets in hydrogenic ions",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("energies", "fine-structure doublets and splitting frequencies"),
-        ("timescales", "characteristic times T_cl, T_rev, T_ls, T_ls2"),
-        ("observables", "autocorrelation, spin expectations, component norms"),
-        ("density", "component densities at chosen times"),
-        ("carpet", "space-time density grids (PGM or CSV)"),
-    ]:
+    for name, command in COMMANDS.items():
         # a flag left out is missing from the namespace, not None
-        sub = subs.add_parser(name, help=help_text,
+        sub = subs.add_parser(name, help=command.help,
                               argument_default=argparse.SUPPRESS)
-        _add_common_options(sub)
-        if name == "timescales":
-            sub.add_argument("--scan", nargs=2, type=int,
-                             metavar=("N_MIN", "N_MAX"),
-                             help="tabulate a range of n_av")
-            sub.add_argument("--au", action="store_true",
-                             help="emit atomic time units instead of seconds")
-            sub.add_argument("--with-approx", dest="with_approx",
-                             action="store_true",
-                             help="append the lowest-order T_ls column")
-        if name == "density":
-            sub.add_argument("--times", nargs="+", type=float,
-                             help="snapshot times in the chosen unit")
+        for key in ("config", "figure", "Z", "l", "out", *command.reads):
+            sub.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    cli_args = dict(vars(args))
+    cli_args = vars(parser.parse_args(argv))
     command = cli_args.pop("command")
     try:
         cfg = merge_config(cli_args, parser)

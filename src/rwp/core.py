@@ -46,10 +46,9 @@ class PhysicalParams:
             raise InvalidQuantumNumbers(
                 f"l must be >= 1 so both j = l +/- 1/2 exist, got {self.l}"
             )
-        if self.Z * self.alpha >= 1.0:
+        if self.Z >= 1.0 / self.alpha:  # Z * alpha overflows for a huge int
             raise SupercriticalCharge(
-                f"Z*alpha = {self.Z * self.alpha:.4f} >= 1 (supercritical)"
-            )
+                f"Z = {self.Z} >= 1/alpha = {1.0 / self.alpha:.4f} (supercritical)")
 
     @property
     def z_alpha_sq(self) -> float:

@@ -30,7 +30,7 @@ class NonNormalizedSpinor(RwpError):
 
 
 class InvalidRange(RwpError):
-    """Packet bounds violate l+1 <= n_min <= n_av <= n_max; times not ascending."""
+    """n breaks l+1 <= n_min <= n_av <= n_max <= N_LIMIT; times not ascending."""
 
 
 class RangeMismatch(RwpError):

@@ -33,11 +33,11 @@ from .errors import (EmptyRange, InvalidRange, NonNormalizedSpinor,
                      RangeMismatch)
 
 SPINOR_NORM_TOL = 1e-9
-# Largest n a packet may reach.  Every table holds one row per n and the
-# radial recurrence runs n - l - 1 steps per radius, so this bounds a run's
-# memory and time.  The tests hold the radial rows of n 960-1000 to
-# Gram <= 1e-8, so every accepted n is checked; the limit sits far below
-# ranges numpy cannot allocate or round(n_av + 5 sigma) cannot represent.
+# Largest n a run accepts, in packet bounds, n_av and time-scale scans.
+# Every table holds one row per n and the radial recurrence runs n - l - 1
+# steps per radius, so this bounds memory and time.  The tests hold the
+# radial rows of n 960-1000 to Gram <= 1e-8, so every accepted n is checked;
+# the limit sits far below sizes numpy or round(n_av + 5 sigma) cannot take.
 N_LIMIT = 1000
 
 

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import rwp
-from rwp.cli import main, write_csv, write_pgm
+from rwp.cli import _FLAGS, build_parser, main, write_csv, write_pgm
 from rwp.core import (ATOMIC_TIME_SECONDS, PhysicalParams, energy_table,
                       reduced_energy, time_scales)
 from rwp.errors import RwpError
@@ -319,6 +320,75 @@ class TestConfigPrecedence:
         assert data[-1][0] == pytest.approx(1.0, rel=1e-12)
 
 
+# the flags every command takes, and per command those of the settings it
+# reads
+EVERY = {"config", "figure", "Z", "l", "out"}
+PACKET = {"n-av", "sigma", "a", "b", "n-min", "n-max"}
+OFFERED = {
+    "energies": {"n-av", "sigma", "n-min", "n-max"},
+    "timescales": {"n-av", "scan", "au", "with-approx"},
+    "observables": PACKET | {"t-max", "t-unit", "samples"},
+    "density": PACKET | {"t-unit", "grid-points", "times"},
+    "carpet": PACKET | {"t-max", "t-unit", "samples", "grid-points", "format"},
+}
+
+
+def offered_flags(command):
+    """The flags the command's subparser accepts, --help aside."""
+    subs = build_parser()._subparsers._group_actions[0].choices
+    return {flag for action in subs[command]._actions
+            for flag in action.option_strings} - {"-h", "--help"}
+
+
+class TestFlagSets:
+    @pytest.mark.parametrize("command", OFFERED)
+    def test_offers_only_the_settings_it_reads(self, command):
+        assert offered_flags(command) == {
+            f"--{flag}" for flag in EVERY | OFFERED[command]}
+
+    def test_every_flag_is_offered(self):
+        offered = set().union(*map(offered_flags, OFFERED))
+        assert {"--" + key.replace("_", "-") for key in _FLAGS} <= offered
+
+    @pytest.mark.parametrize("args", [
+        ["timescales", "--Z", "92", "--t-unit", "au"],
+        ["energies", "--Z", "92", "--format", "pgm"],
+        ["observables", "--Z", "92", "--grid-points", "501"],
+        ["density", "--Z", "92", "--samples", "3"],
+    ], ids=["timescales-t-unit", "energies-format", "observables-grid-points",
+            "density-samples"])
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def readme_cli_examples():
+    """argv of each ``rwp`` line in the README's "CLI usage" code block,
+    continuation lines joined."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## CLI usage", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("rwp ")]
+
+
+class TestReadme:
+    def test_cli_examples_run(self, tmp_path, capsys):
+        examples = readme_cli_examples()
+        assert examples
+        for i, argv in enumerate(examples):
+            out = argv.index("--out") + 1
+            (tmp_path / str(i)).mkdir()
+            argv[out] = str(tmp_path / str(i) / argv[out])
+            assert main(argv) == 0, argv
+            written = capsys.readouterr().out.split()
+            assert written and all(map(os.path.exists, written))
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -472,6 +542,18 @@ class TestBadInput:
         # n_av + 5 sigma above N_LIMIT, then not even finite
         (["energies", "--Z", "92", "--sigma", "1e300"], "InvalidRange"),
         (["density", "--Z", "92", "--sigma", "1e308"], "InvalidRange"),
+        # Z * alpha would overflow a float; n_av and the scan above N_LIMIT
+        (["energies", "--Z", "1" + "0" * 400], "SupercriticalCharge"),
+        (["timescales", "--Z", "92", "--n-av", "1" + "0" * 110],
+         "InvalidRange"),
+        (["observables", "--Z", "92", "--n-av", "1" + "0" * 110,
+          "--samples", "3"], "InvalidRange"),
+        (["timescales", "--Z", "92", "--scan", "2", "1001"], "InvalidRange"),
+        # more float64 values than one numpy array can hold
+        (["observables", "--Z", "92", "--samples", "1" + "0" * 400],
+         "RwpError"),
+        (["carpet", "--Z", "92", "--samples", "3",
+          "--grid-points", "1" * 401], "RwpError"),
         # 711 PiB, beyond the user address space of a 64-bit kernel (at most
         # 2^57 bytes): the allocation fails at once and touches no memory
         (["observables", "--Z", "92", "--samples", "100000000000000000"],
@@ -490,7 +572,9 @@ class TestBadInput:
             "carpet-t-max-overflows-au", "carpet-t-max-zero",
             "carpet-t-max-negative", "a-square-overflows", "scan-reversed",
             "phase-overflows", "density-phase-overflows", "sigma-1e300",
-            "sigma-1e308", "samples-unallocatable",
+            "sigma-1e308", "z-huge", "n-av-huge", "observables-n-av-huge",
+            "scan-above-n-limit", "samples-huge", "carpet-grid-points-huge",
+            "samples-unallocatable",
             "density-grid-points-unallocatable",
             "carpet-grid-points-unallocatable"])
     def test_rejected_before_writing(self, tmp_path, capsys, args, error):
@@ -552,16 +636,18 @@ class TestBadInput:
 
     @pytest.mark.parametrize("bounds", [[], ["--n-min", "78", "--n-max", "82"]],
                              ids=["default-bounds", "explicit-bounds"])
-    @pytest.mark.parametrize("command", ["observables", "density"])
-    def test_tiny_sigma_is_one_n_packet(self, tmp_path, command, bounds):
+    @pytest.mark.parametrize("command, size", [
+        ("observables", ["--samples", "3"]),
+        ("density", ["--grid-points", "501"]),
+    ], ids=["observables", "density"])
+    def test_tiny_sigma_is_one_n_packet(self, tmp_path, command, size, bounds):
         # sigma^2 underflows to 0; all weight sits on n = n_av, and with
         # explicit bounds ((n - n_av)/(2 sigma))^2 overflows elsewhere
         out = tmp_path / "o.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([command, "--Z", "92", "--sigma", "1e-200", *bounds,
-                         "--samples", "3", "--grid-points", "501",
-                         "--out", str(out)]) == 0
+                         *size, "--out", str(out)]) == 0
         _, data = read_csv(out)
         assert np.all(np.isfinite(data))
 
@@ -578,28 +664,35 @@ USUAL = {"Z": ["1", "30", "92", "137"], "l": ["1", "2", "5"],
 HALF = repr(1.0 / math.sqrt(2.0))
 SPINORS = [("0", "1"), ("0.6", "0.8"), ("-0.6", "0.8"), (HALF, HALF),
            ("1", "0"), ("1e-200", "1")]
-# text the int flags must reject through argparse, and float edge cases
-EXTREME = ["0", "-1", "nan", "inf", "-inf", "1e-200", "1e308"]
+# text the int flags must reject through argparse, float edge cases, and an
+# int too large for a float, which the float flags read as inf
+EXTREME = ["0", "-1", "nan", "inf", "-inf", "1e-200", "1e308", "1" + "0" * 400]
 
 
 class TestProperties:
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(command=st.sampled_from(["observables", "density", "carpet"]),
+    @given(command=st.sampled_from(list(OFFERED)),
            usual=st.fixed_dictionaries(
                {key: st.sampled_from(values) for key, values in USUAL.items()}),
-           spinor=st.sampled_from(SPINORS),
-           extreme=st.dictionaries(st.sampled_from([*USUAL, "a", "b"]),
-                                   st.sampled_from(EXTREME), max_size=2))
-    def test_any_input_exits_cleanly(self, command, usual, spinor, extreme):
-        """Up to two settings at an extreme value: exit 0 with finite output,
-        exit 1 with one line and no file, or exit 2 from argparse; never a
-        warning or a traceback."""
+           spinor=st.sampled_from(SPINORS), data=st.data())
+    def test_any_input_exits_cleanly(self, command, usual, spinor, data):
+        """Each command given only the flags it reads, up to two of them at
+        an extreme value: exit 0 with finite output, exit 1 with one line
+        and no file, or exit 2 from argparse; never a warning or a
+        traceback."""
         a, b = spinor
-        flags = {**usual, "a": a, "b": b, **extreme}
-        flags["times" if command == "density" else "t-max"] = flags.pop("t")
+        flag = {"t": "times" if command == "density" else "t-max"}
+        offered = EVERY | OFFERED[command]
+        flags = {flag.get(key, key): value
+                 for key, value in {**usual, "a": a, "b": b}.items()
+                 if flag.get(key, key) in offered}
+        flags.update(data.draw(st.dictionaries(
+            st.sampled_from(list(flags)), st.sampled_from(EXTREME), max_size=2)))
+        if "grid-points" in offered:
+            flags["grid-points"] = "501"
         with tempfile.TemporaryDirectory() as tmp:
             argv = [command, *(f"--{key}={value}" for key, value in flags.items()),
-                    "--grid-points=501", f"--out={tmp}/out.csv"]
+                    f"--out={tmp}/out.csv"]
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stderr(err), \
