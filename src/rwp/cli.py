@@ -149,21 +149,25 @@ FIGURE_PRESETS = {
 
 def load_config(path: str) -> dict:
     """Parse a plain ``key = value`` config file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise RwpError(f"{path}: not UTF-8 text: {exc}")
     cfg = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise RwpError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_TYPES:
-                raise RwpError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                cfg[key] = _CONFIG_TYPES[key](value)
-            except ValueError as exc:
-                raise RwpError(f"{path}:{lineno}: bad value for {key}: {exc}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise RwpError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_TYPES:
+            raise RwpError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            cfg[key] = _CONFIG_TYPES[key](value)
+        except ValueError as exc:
+            raise RwpError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return cfg
 
 
@@ -383,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        # a flag left out is missing from the namespace, not None
-        sub = subs.add_parser(name, help=command.help,
+        # a flag left out is missing from the namespace, not None; a flag
+        # has one spelling, so no prefix reaches a flag the command lacks
+        sub = subs.add_parser(name, help=command.help, allow_abbrev=False,
                               argument_default=argparse.SUPPRESS)
         for key in ("config", "figure", "Z", "l", "out", *command.reads):
             sub.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])

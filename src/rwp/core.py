@@ -155,8 +155,9 @@ def energy_table(params: PhysicalParams, n_min: int, n_max: int) -> EnergyTable:
                        energy_splitting(params, ns))
 
 
-def energy_derivatives(params: PhysicalParams, n: float, j: float):
-    """(dE/dn, d2E/dn2, d3E/dn3) treating n as continuous on one branch.
+def energy_derivatives(params: PhysicalParams, n: float):
+    """(dE/dn, d2E/dn2, d3E/dn3) treating n as continuous on the j = l+1/2
+    branch.
 
     n enters E only through D (dD/dn = 1), so with v = y/D^2:
 
@@ -166,12 +167,8 @@ def energy_derivatives(params: PhysicalParams, n: float, j: float):
     and the chain rule gives closed forms that need no cancellation care
     (each derivative is already O(alpha^0) or smaller).
     """
-    jp = j + 0.5
-    disc = jp * jp - params.z_alpha_sq
-    if disc <= 0.0:
-        raise SupercriticalCharge(
-            f"(j+1/2)^2 = {jp * jp} <= (Z*alpha)^2 = {params.z_alpha_sq}"
-        )
+    jp = params.l + 1  # j + 1/2
+    disc = jp * jp - params.z_alpha_sq  # > 0: PhysicalParams holds Z*alpha < 1
     d = n - jp + math.sqrt(disc)
     y = params.z_alpha_sq
     c = 1.0 / params.alpha ** 2
@@ -197,7 +194,7 @@ def time_scales(params: PhysicalParams, n_av: int) -> TimeScales:
     spin revives near half of it.
     """
     t_ls = 2.0 * math.pi / abs(energy_splitting(params, n_av))
-    derivs = energy_derivatives(params, float(n_av), params.l + 0.5)
+    derivs = energy_derivatives(params, float(n_av))
     t_cl, t_rev, t_super = (2.0 * math.pi / (abs(e_k) / math.factorial(k))
                             for k, e_k in enumerate(derivs, 1))
     return TimeScales(t_cl=t_cl, t_rev=t_rev, t_super=t_super, t_ls=t_ls,

@@ -21,10 +21,6 @@ class LengthMismatch(RwpError):
     """Sample arrays do not match the quadrature grid length."""
 
 
-class EmptyRange(RwpError):
-    """Empty principal-quantum-number range."""
-
-
 class NonNormalizedSpinor(RwpError):
     """|a|^2 + |b|^2 deviates from 1 beyond tolerance."""
 

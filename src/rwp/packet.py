@@ -29,8 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .core import EnergyTable
-from .errors import (EmptyRange, InvalidRange, NonNormalizedSpinor,
-                     RangeMismatch)
+from .errors import InvalidRange, NonNormalizedSpinor, RangeMismatch
 
 SPINOR_NORM_TOL = 1e-9
 # Largest n a run accepts, in packet bounds, n_av and time-scale scans.
@@ -90,25 +89,13 @@ class SpinorAmplitudes:
                 + np.abs(self.c2) ** 2)
 
 
-def gaussian_weights(n_av: int, sigma: float, n_min: int, n_max: int) -> np.ndarray:
-    """Alternating-sign Gaussian weights, renormalized so sum w^2 = 1."""
-    if sigma <= 0:
-        raise InvalidRange(f"sigma must be > 0, got {sigma}")
-    if n_min > n_max:
-        raise EmptyRange(f"n_min = {n_min} > n_max = {n_max}")
-    n = np.arange(n_min, n_max + 1)
-    # not (n - n_av)^2/(4 sigma^2), which is 0/0 at n = n_av once sigma^2
-    # underflows; an overflowing square is inf, which exp sends to 0
-    with np.errstate(over="ignore"):
-        w = (-1.0) ** n * np.exp(-((n - n_av) / (2.0 * sigma)) ** 2)
-    return w / math.sqrt(np.sum(w ** 2))
-
-
 def truncation_bounds(spec: PacketSpec, l: int) -> tuple[int, int]:
     """(n_min, n_max) of the packet: the spec's bounds where given, else
     round(n_av -/+ 5 sigma), with n_min no lower than l+1.  InvalidRange if
-    5 sigma is not finite or a bound exceeds N_LIMIT, before any table is
-    allocated."""
+    sigma is not > 0, 5 sigma is not finite or a bound exceeds N_LIMIT,
+    before any table is allocated."""
+    if not spec.sigma > 0:  # NaN fails too
+        raise InvalidRange(f"sigma must be > 0, got {spec.sigma}")
     n_min, n_max = spec.n_min, spec.n_max
     spread = 5.0 * spec.sigma
     finite = math.isfinite(spread) or (n_min is not None and n_max is not None)
@@ -126,7 +113,8 @@ def truncation_bounds(spec: PacketSpec, l: int) -> tuple[int, int]:
 
 
 def build_packet(spec: PacketSpec, l: int) -> Packet:
-    """Resolve the truncation bounds and build the weights."""
+    """Resolve the truncation bounds and build the alternating-sign Gaussian
+    weights, renormalized so sum w^2 = 1."""
     # a huge |a| makes |a|*|a| inf (rejected below); |a|**2 raises OverflowError
     norm = abs(spec.a) * abs(spec.a) + abs(spec.b) * abs(spec.b)
     if not abs(norm - 1.0) <= SPINOR_NORM_TOL:  # NaN fails too
@@ -137,10 +125,14 @@ def build_packet(spec: PacketSpec, l: int) -> Packet:
             f"need l+1 <= n_min <= n_av <= n_max, got l={l}, "
             f"n_min={n_min}, n_av={spec.n_av}, n_max={n_max}"
         )
-    w = gaussian_weights(spec.n_av, spec.sigma, n_min, n_max)
+    n = np.arange(n_min, n_max + 1)
+    # not (n - n_av)^2/(4 sigma^2), which is 0/0 at n = n_av once sigma^2
+    # underflows; an overflowing square is inf, which exp sends to 0
+    with np.errstate(over="ignore"):
+        w = (-1.0) ** n * np.exp(-((n - spec.n_av) / (2.0 * spec.sigma)) ** 2)
     resolved = replace(spec, a=spec.a / math.sqrt(norm),
                        b=spec.b / math.sqrt(norm), n_min=n_min, n_max=n_max)
-    return Packet(spec=resolved, n=np.arange(n_min, n_max + 1), weights=w)
+    return Packet(spec=resolved, n=n, weights=w / math.sqrt(np.sum(w ** 2)))
 
 
 def _phases(packet: Packet, energies: EnergyTable, t):

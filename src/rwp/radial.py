@@ -16,7 +16,7 @@ normalization folded in via log-gamma) while carrying an explicit
 power-of-two exponent per grid point, so no intermediate ever leaves the
 double range.  A table runs the recurrence for all its n at once, over
 blocks of radii small enough to stay in cache; a row that reaches its
-degree drops out, and ``radial_eval`` is the same routine with one row.
+degree drops out.
 The rescale check runs only every few steps, as often as a growth bound per
 block requires, and gives the bits of a check at every step.  A radius so
 far out that its start weight lies below 2^(-2^40), or that 2 Z r/n
@@ -122,38 +122,6 @@ def _lognorm(Z: int, n: int, l: int) -> float:
                      - math.lgamma(n + l + 1)))
 
 
-def _radial_rows(Z: int, l: int, ns: np.ndarray, r) -> np.ndarray:
-    """R_{n,l}(r) for every n of the ascending ``ns``: shape (len(ns), len(r)).
-
-    Runs the recurrence for all rows at once, one block of _BLOCK_COLUMNS
-    radii at a time.  Row n stops after k_top = n - l - 1 steps; since ``ns``
-    ascends, the rows still running at step k are a suffix [i0:] and a row
-    freezes by advancing i0.  Each entry takes the arithmetic of a lone row
-    up to exact power-of-two rescales, whose steps depend on the block, so a
-    row's bits do not depend on which other n or r share its call.
-    """
-    if ns[0] < l + 1 or l < 0 or Z < 1:
-        raise InvalidQuantumNumbers(f"invalid (Z, n, l) = ({Z}, {ns[0]}, {l})")
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(np.isfinite(r)):
-        raise InvalidQuantumNumbers("r must be finite")
-    if np.any(r < 0):
-        raise InvalidQuantumNumbers("r must be >= 0")
-    nf = ns.astype(float)[:, None]
-    # scalar math per n: a row starts from the same bits in any table
-    lognorm = np.array([_lognorm(Z, int(n), l) for n in ns])[:, None]
-    k_top = ns - l - 1
-    out = np.zeros((len(ns), len(r)))
-    for c0 in range(0, len(r), _BLOCK_COLUMNS):
-        cols = slice(c0, c0 + _BLOCK_COLUMNS)
-        # r = 0 and rho = inf (r near the double limit) need no skip:
-        # _recurrence's dead mask gives +0.0 there
-        with np.errstate(over="ignore"):
-            rho = 2.0 * Z * r[cols] / nf
-        out[:, cols] = _recurrence(rho, lognorm, l, k_top)
-    return out
-
-
 def _check_stride(k_max: int, alpha: int, rho_max: float) -> int:
     """Steps between rescale checks of a block whose rows run to degree
     k_max over rho <= rho_max.
@@ -239,45 +207,51 @@ def _recurrence(rho, lognorm, l, k_top):
     return out
 
 
-def radial_eval(Z: int, n: int, l: int, r) -> np.ndarray:
-    """Normalized bound radial function R_{n,l}(r): one row of the recurrence
-    that ``radial_table`` runs.
-
-    Uses the degree recurrence of the generalized Laguerre polynomials
-    applied to the weighted function
-
-        F_k(rho) = N * exp(-rho/2) * rho^l * L_k^{2l+1}(rho),  rho = 2 Z r / n,
-
-    which obeys the same recurrence because the weight is degree-independent.
-    The starting weight is split into mantissa and power-of-two exponent from
-    its logarithm; the exponent rides along and is re-applied at the end with
-    ldexp (tail underflow flushes cleanly to zero).  The tests hold the Gram
-    matrix within 1e-8 of identity at n 156-200 (Z = 92), 390-410 (Z = 1)
-    and 960-1000 (both).
-    """
-    out = _radial_rows(Z, l, np.array([n]), r)[0]
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return float(out[0])
-    return out
-
-
 def radial_table(params: PhysicalParams, n_min: int, n_max: int,
                  r) -> RadialTable:
     """Tabulate R_{n,l} for n in [n_min, n_max] at the radii r (a quadrature
-    grid's ``r`` or a display axis).
+    grid's ``r``, a display axis or one radius), one row per n.
 
-    All rows run one recurrence, block of columns by block; each row is bit
-    for bit the ``radial_eval`` of its n.
+    Runs the degree recurrence of the generalized Laguerre polynomials on the
+    weighted function
+
+        F_k(rho) = N * exp(-rho/2) * rho^l * L_k^{2l+1}(rho),  rho = 2 Z r / n,
+
+    which obeys the same recurrence because the weight is degree-independent,
+    for all rows at once, one block of _BLOCK_COLUMNS radii at a time.  Row n
+    stops after k_top = n - l - 1 steps; since the n ascend, the rows still
+    running at step k are a suffix [i0:] and a row freezes by advancing i0.
+    Each entry takes the arithmetic of a lone row up to exact power-of-two
+    rescales, whose steps depend on the block, so a row's bits do not depend
+    on which other n or r share its call.  The tests hold the Gram matrix
+    within 1e-8 of identity at n 156-200 (Z = 92), 390-410 (Z = 1) and
+    960-1000 (both).
     """
     if not (params.l + 1 <= n_min <= n_max):
         raise InvalidQuantumNumbers(
             f"need l+1 <= n_min <= n_max, got l={params.l}, "
             f"n_min={n_min}, n_max={n_max}"
         )
+    Z, l = params.Z, params.l
     ns = np.arange(n_min, n_max + 1)
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    return RadialTable(values=_radial_rows(params.Z, params.l, ns, r), r=r,
-                       n_range=ns, l=params.l, Z=params.Z)
+    if not np.all(np.isfinite(r)):
+        raise InvalidQuantumNumbers("r must be finite")
+    if np.any(r < 0):
+        raise InvalidQuantumNumbers("r must be >= 0")
+    nf = ns.astype(float)[:, None]
+    # scalar math per n: a row starts from the same bits in any table
+    lognorm = np.array([_lognorm(Z, int(n), l) for n in ns])[:, None]
+    k_top = ns - l - 1
+    out = np.zeros((len(ns), len(r)))
+    for c0 in range(0, len(r), _BLOCK_COLUMNS):
+        cols = slice(c0, c0 + _BLOCK_COLUMNS)
+        # r = 0 and rho = inf (r near the double limit) need no skip:
+        # _recurrence's dead mask gives +0.0 there
+        with np.errstate(over="ignore"):
+            rho = 2.0 * Z * r[cols] / nf
+        out[:, cols] = _recurrence(rho, lognorm, l, k_top)
+    return RadialTable(values=out, r=r, n_range=ns, l=l, Z=Z)
 
 
 def inner_product(f, g, grid: RadialGrid) -> float:

@@ -355,8 +355,13 @@ class TestFlagSets:
         ["energies", "--Z", "92", "--format", "pgm"],
         ["observables", "--Z", "92", "--grid-points", "501"],
         ["density", "--Z", "92", "--samples", "3"],
+        # a prefix of a flag the command offers is not that flag
+        ["timescales", "--Z", "92", "--a"],
+        ["density", "--Z", "92", "--s", "3"],
+        ["timescales", "--Z", "92", "--with"],
     ], ids=["timescales-t-unit", "energies-format", "observables-grid-points",
-            "density-samples"])
+            "density-samples", "timescales-a-prefix", "density-s-prefix",
+            "timescales-with-prefix"])
     def test_unread_flag_is_usage_error(self, tmp_path, capsys, args):
         with pytest.raises(SystemExit) as exc:
             main(args + ["--out", str(tmp_path / "out.csv")])
@@ -542,6 +547,13 @@ class TestBadInput:
         # n_av + 5 sigma above N_LIMIT, then not even finite
         (["energies", "--Z", "92", "--sigma", "1e300"], "InvalidRange"),
         (["density", "--Z", "92", "--sigma", "1e308"], "InvalidRange"),
+        # sigma not > 0, with or without a packet to build
+        (["observables", "--Z", "92", "--sigma", "-2", "--samples", "3"],
+         "InvalidRange: sigma must be > 0"),
+        (["density", "--Z", "92", "--sigma", "-2", "--grid-points", "501"],
+         "InvalidRange: sigma must be > 0"),
+        (["energies", "--Z", "92", "--sigma", "0"],
+         "InvalidRange: sigma must be > 0"),
         # Z * alpha would overflow a float; n_av and the scan above N_LIMIT
         (["energies", "--Z", "1" + "0" * 400], "SupercriticalCharge"),
         (["timescales", "--Z", "92", "--n-av", "1" + "0" * 110],
@@ -572,7 +584,9 @@ class TestBadInput:
             "carpet-t-max-overflows-au", "carpet-t-max-zero",
             "carpet-t-max-negative", "a-square-overflows", "scan-reversed",
             "phase-overflows", "density-phase-overflows", "sigma-1e300",
-            "sigma-1e308", "z-huge", "n-av-huge", "observables-n-av-huge",
+            "sigma-1e308", "sigma-negative", "density-sigma-negative",
+            "energies-sigma-zero", "z-huge", "n-av-huge",
+            "observables-n-av-huge",
             "scan-above-n-limit", "samples-huge", "carpet-grid-points-huge",
             "samples-unallocatable",
             "density-grid-points-unallocatable",
@@ -580,7 +594,8 @@ class TestBadInput:
     def test_rejected_before_writing(self, tmp_path, capsys, args, error):
         assert main(args + ["--out", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"rwp: error: {error}: ")
+        kind, _, message = error.partition(": ")  # the type, then the message
+        assert err.startswith(f"rwp: error: {kind}: {message}")
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
@@ -607,13 +622,18 @@ class TestBadInput:
         ("energies", "t_unit = xyz", "t_unit must be in"),
         ("observables", "n_av", "expected 'key = value'"),
         ("observables", "n_av = 8.5", "bad value for n_av"),
-    ], ids=["format", "t-unit", "no-equals", "int-key-float-value"])
+        ("energies", "\xff = 1", "not UTF-8 text"),
+    ], ids=["format", "t-unit", "no-equals", "int-key-float-value",
+            "not-utf-8"])
     def test_config_file_choice_rejected(self, tmp_path, capsys, command,
                                          line, message):
-        # the flags' choices= and types reject these values, and a line
-        # without '=' sets nothing; a config file must reject each
+        # the flags' choices= and types reject these values, a line without
+        # '=' sets nothing, and a byte that is not UTF-8 has no meaning; a
+        # config file must reject each.  Latin-1 writes each character of
+        # these lines as one byte, so '\xff' is the byte 0xff.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"Z = 92\nsamples = 3\ngrid_points = 501\n{line}\n")
+        cfg.write_text(f"Z = 92\nsamples = 3\ngrid_points = 501\n{line}\n",
+                       encoding="latin-1")
         out = tmp_path / "out"
         out.mkdir()
         assert main([command, "--config", str(cfg),

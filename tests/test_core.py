@@ -131,7 +131,7 @@ class TestTimeScales:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_analytic_derivatives_vs_finite_differences(self, Z, n_av, order):
         p = PhysicalParams(Z=Z, l=1)
-        analytic = energy_derivatives(p, float(n_av), 1.5)[order - 1]
+        analytic = energy_derivatives(p, float(n_av))[order - 1]
         fd = _fd_derivative(Z, 1.5, n_av, order)
         assert analytic == pytest.approx(fd, rel=1e-7)
 

@@ -7,30 +7,28 @@ import numpy as np
 import pytest
 
 from rwp.core import PhysicalParams, energy_table
-from rwp.errors import (EmptyRange, InvalidRange, NonNormalizedSpinor,
-                        RangeMismatch)
+from rwp.errors import InvalidRange, NonNormalizedSpinor, RangeMismatch
 from rwp.packet import (N_LIMIT, PacketSpec, amplitudes_at, build_packet,
-                        gaussian_weights, truncation_bounds)
+                        truncation_bounds)
+
+
+def weights():
+    return build_packet(PacketSpec(80, 2.0, n_min=70, n_max=90), 1).weights
 
 
 class TestGaussianWeights:
     def test_normalization(self):
-        w = gaussian_weights(80, 2.0, 70, 90)
-        assert np.sum(w ** 2) == pytest.approx(1.0, rel=1e-15)
+        assert np.sum(weights() ** 2) == pytest.approx(1.0, rel=1e-15)
 
     def test_sign_alternation(self):
-        w = gaussian_weights(80, 2.0, 70, 90)
+        w = weights()
         assert np.all(w[:-1] * w[1:] < 0)
 
     def test_symmetry(self):
-        w = gaussian_weights(80, 2.0, 70, 90)
+        w = weights()
         # |w_{80+k}| = |w_{80-k}|
         assert abs(w[12]) == pytest.approx(abs(w[8]), rel=1e-14)
         assert abs(w[20]) == pytest.approx(abs(w[0]), rel=1e-14)
-
-    def test_empty_range(self):
-        with pytest.raises(EmptyRange):
-            gaussian_weights(80, 2.0, 90, 70)
 
 
 class TestBuildPacket:
@@ -77,18 +75,27 @@ class TestBuildPacket:
     def test_bounds_up_to_n_limit(self, spec, bounds):
         assert truncation_bounds(spec, 1) == bounds
 
-    @pytest.mark.parametrize("spec", [
-        PacketSpec(n_av=N_LIMIT - 10, sigma=2.2),
-        PacketSpec(n_av=80, sigma=2.0, n_max=N_LIMIT + 1),
-        PacketSpec(n_av=80, sigma=2.0, n_min=N_LIMIT + 1, n_max=N_LIMIT + 5),
-        PacketSpec(n_av=80, sigma=1e300),
-        PacketSpec(n_av=80, sigma=1e308, n_max=90),
-        PacketSpec(n_av=80, sigma=math.nan),
+    @pytest.mark.parametrize("spec, match", [
+        (PacketSpec(n_av=N_LIMIT - 10, sigma=2.2), "N_LIMIT"),
+        (PacketSpec(n_av=80, sigma=2.0, n_max=N_LIMIT + 1), "N_LIMIT"),
+        (PacketSpec(n_av=80, sigma=2.0, n_min=N_LIMIT + 1,
+                    n_max=N_LIMIT + 5), "N_LIMIT"),
+        (PacketSpec(n_av=80, sigma=1e300), "N_LIMIT"),
+        (PacketSpec(n_av=80, sigma=1e308, n_max=90), "N_LIMIT"),
+        # the sigma rule comes before the spread 5 sigma, with or without
+        # explicit bounds: a NaN sigma would make every weight NaN
+        (PacketSpec(n_av=80, sigma=math.nan), "sigma must be > 0"),
+        (PacketSpec(n_av=80, sigma=math.nan, n_min=70, n_max=90),
+         "sigma must be > 0"),
+        (PacketSpec(n_av=80, sigma=-2.0), "sigma must be > 0"),
+        (PacketSpec(n_av=80, sigma=0.0), "sigma must be > 0"),
     ], ids=["rounded-above", "n-max", "n-min", "sigma-1e300", "sigma-1e308",
-            "sigma-nan"])
-    def test_bounds_above_n_limit_rejected(self, spec):
-        with pytest.raises(InvalidRange, match="N_LIMIT"):
+            "sigma-nan", "sigma-nan-bounds", "sigma-negative", "sigma-zero"])
+    def test_bounds_above_n_limit_rejected(self, spec, match):
+        with pytest.raises(InvalidRange, match=match):
             truncation_bounds(spec, 1)
+        with pytest.raises(InvalidRange, match=match):
+            build_packet(spec, 1)
 
 
 @pytest.fixture(scope="module")

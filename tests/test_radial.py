@@ -10,7 +10,7 @@ from scipy.special import eval_genlaguerre
 from rwp.core import PhysicalParams
 from rwp.errors import InvalidGridSpec, InvalidQuantumNumbers, LengthMismatch
 from rwp.radial import (DEFAULT_GRID_POINTS, _check_stride, inner_product,
-                        make_grid, outer_radius, radial_eval, radial_table,
+                        make_grid, outer_radius, radial_table,
                         simpson_weights)
 
 
@@ -22,7 +22,7 @@ def reference_radial(Z, n, l, r):
     return norm * np.exp(-rho / 2.0) * rho ** l * eval_genlaguerre(n - l - 1, 2 * l + 1, rho)
 
 
-# radial_eval as the package had it before radial_table ran all n at once:
+# One radial row as the package had it before radial_table ran all n at once:
 # one row per call, checked for rescaling at every step.  The bit-for-bit
 # reference of the blocked recurrence, which checks every few steps.  A radius
 # whose start weight lies below 2^(-2^40) gives +0.0, as in the package.
@@ -83,6 +83,14 @@ def ref_radial_eval(Z: int, n: int, l: int, r) -> np.ndarray:
     return out
 
 
+def row(Z, n, l, r):
+    """R_{n,l}(r) as the row of a one-n radial_table.  PhysicalParams needs
+    l >= 1 (both j = l +/- 1/2); radial_table reads only Z and l, so a
+    stand-in carries l = 0."""
+    params = PhysicalParams(Z=Z, l=l) if l else SimpleNamespace(Z=Z, l=0)
+    return radial_table(params, n, n, r).values[0]
+
+
 class TestGrid:
     def test_r_max_formula(self):
         g = make_grid(PhysicalParams(Z=1, l=1), 100, 4001)
@@ -132,25 +140,25 @@ class TestGrid:
 
 class TestRadialEval:
     def test_hydrogen_1s(self):
-        assert radial_eval(1, 1, 0, 1.0) == pytest.approx(2.0 * math.exp(-1.0),
-                                                          rel=1e-13)
+        assert row(1, 1, 0, 1.0)[0] == pytest.approx(2.0 * math.exp(-1.0),
+                                                     rel=1e-13)
 
     def test_hydrogen_2p(self):
         expected = math.exp(-1.0) / math.sqrt(6.0)
-        assert radial_eval(1, 2, 1, 2.0) == pytest.approx(expected, rel=1e-13)
+        assert row(1, 2, 1, 2.0)[0] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("n,l", [(3, 0), (5, 1), (12, 1), (25, 2), (30, 1)])
     def test_against_factorial_closed_form(self, n, l):
         r = np.linspace(0.0, 4.0 * n ** 2, 400)
-        got = radial_eval(1, n, l, r)
+        got = row(1, n, l, r)
         ref = reference_radial(1, n, l, r)
         assert np.allclose(got, ref, rtol=1e-10, atol=1e-12)
 
     def test_large_n_orthonormality(self):
         p = PhysicalParams(Z=1, l=1)
         g = make_grid(p, 81)
-        r80 = radial_eval(1, 80, 1, g.r)
-        r81 = radial_eval(1, 81, 1, g.r)
+        r80 = row(1, 80, 1, g.r)
+        r81 = row(1, 81, 1, g.r)
         assert inner_product(r80, r80, g) == pytest.approx(1.0, abs=1e-8)
         assert abs(inner_product(r80, r81, g)) < 1e-8
 
@@ -158,7 +166,7 @@ class TestRadialEval:
         p = PhysicalParams(Z=1, l=1)
         for n in (5, 20, 60):
             g = make_grid(p, n, 8001)
-            vals = radial_eval(1, n, 1, g.r[1:])
+            vals = row(1, n, 1, g.r[1:])
             # ignore the underflowed far tail when counting sign changes
             live = vals[np.abs(vals) > 1e-30]
             changes = int(np.sum(np.diff(np.sign(live)) != 0))
@@ -168,54 +176,54 @@ class TestRadialEval:
         # R_{n,l}(r; Z) = Z^(3/2) R_{n,l}(Z r; 1)
         r = np.linspace(0.0, 30.0, 200)
         for Z in (2, 92):
-            lhs = radial_eval(Z, 8, 1, r)
-            rhs = Z ** 1.5 * radial_eval(1, 8, 1, Z * r)
+            lhs = row(Z, 8, 1, r)
+            rhs = Z ** 1.5 * row(1, 8, 1, Z * r)
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
 
     def test_no_overflow_stress_n200(self):
         p = PhysicalParams(Z=1, l=1)
         g = make_grid(p, 200, 4001)
-        vals = radial_eval(1, 200, 1, g.r)
+        vals = row(1, 200, 1, g.r)
         assert np.all(np.isfinite(vals))
         assert inner_product(vals, vals, g) == pytest.approx(1.0, abs=1e-4)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidQuantumNumbers):
-            radial_eval(1, 1, 1, 1.0)
+            row(1, 1, 1, 1.0)
         with pytest.raises(InvalidQuantumNumbers):
-            radial_eval(1, 3, 1, -1.0)
+            row(1, 3, 1, -1.0)
 
     def test_scalar_round_trip(self):
-        v = radial_eval(1, 3, 1, 2.5)
-        assert isinstance(v, float)
+        # one radius is a table of one column, at that radius
+        t = radial_table(PhysicalParams(Z=1, l=1), 3, 3, 2.5)
+        assert t.r.shape == (1,) and t.r[0] == 2.5
+        assert t.values.shape == (1, 1)
 
     @pytest.mark.parametrize("Z, n, l, r", [
         (1, 3, 1, 2.5), (1, 1, 0, 1.0), (1, 2, 1, 0.0), (92, 200, 1, 0.3),
         (1, 410, 2, 3.0e5)])
     def test_scalar_matches_reference(self, Z, n, l, r):
-        v = radial_eval(Z, n, l, r)
-        assert isinstance(v, float)
-        assert v == ref_radial_eval(Z, n, l, r)
+        assert row(Z, n, l, r)[0] == ref_radial_eval(Z, n, l, r)
 
     def test_huge_finite_radius_is_positive_zero(self):
         # rho = 1e20 puts the start exponent past int64, and 2 Z r/n
         # overflows to inf at r = 1e308: both are +0.0, with no warning
-        v = radial_eval(1, 2, 1, 1e20)
+        v = row(1, 2, 1, 1e20)[0]
         assert v == 0.0 and math.copysign(1.0, v) == 1.0
         got = radial_table(PhysicalParams(Z=136, l=1), 2, 6,
                            [1e-3, 1e308]).values
         assert np.array_equal(got[:, 1], np.zeros(5))
         assert not np.any(np.signbit(got[:, 1]))
-        assert np.array_equal(got[:, 0], [radial_eval(136, n, 1, 1e-3)
+        assert np.array_equal(got[:, 0], [row(136, n, 1, 1e-3)[0]
                                           for n in range(2, 7)])
         assert np.all(got[:, 0] > 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_radius_rejected(self, bad):
         with pytest.raises(InvalidQuantumNumbers, match="finite"):
-            radial_eval(1, 3, 1, bad)
+            row(1, 3, 1, bad)
         with pytest.raises(InvalidQuantumNumbers, match="finite"):
-            radial_eval(1, 3, 1, np.array([1.0, bad, 2.0]))
+            row(1, 3, 1, np.array([1.0, bad, 2.0]))
         with pytest.raises(InvalidQuantumNumbers, match="finite"):
             radial_table(PhysicalParams(Z=92, l=1), 2, 5,
                          np.array([0.0, 1.0, bad]))
@@ -321,14 +329,14 @@ class TestInnerProduct:
     def test_normalization(self):
         p = PhysicalParams(Z=1, l=1)
         g = make_grid(p, 5)
-        r10 = radial_eval(1, 1, 0, g.r)
+        r10 = row(1, 1, 0, g.r)
         assert inner_product(r10, r10, g) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonality(self):
         p = PhysicalParams(Z=1, l=1)
         g = make_grid(p, 5)
-        r21 = radial_eval(1, 2, 1, g.r)
-        r31 = radial_eval(1, 3, 1, g.r)
+        r21 = row(1, 2, 1, g.r)
+        r31 = row(1, 3, 1, g.r)
         assert abs(inner_product(r21, r31, g)) < 1e-10
 
     def test_polynomial_exactness(self):
