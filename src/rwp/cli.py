@@ -11,6 +11,9 @@ presets, may set any setting, so one file can serve several commands.
 Exit status: 0 success, 1 domain error (bad physics input, a non-finite or
 out-of-range setting, an output file that cannot be written, an array too
 large to allocate), 2 usage error.
+
+Imported before numpy, this module runs OpenBLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` is set (see the comment above ``import numpy``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,16 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
+# No function in rwp calls BLAS: every sum over n is an einsum in a fixed
+# order.  Yet OpenBLAS starts a worker thread when numpy loads, and it spins
+# on a second core for the whole run, about a third of a CLI run's CPU.  So a
+# process that reaches this module before numpy runs OpenBLAS on one thread,
+# unless the user set OPENBLAS_NUM_THREADS; an import after numpy (the tests,
+# a notebook) changes nothing.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST, PhysicalParams,
                    energy_table, t_ls_lowest_order, time_scales)

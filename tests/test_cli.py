@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import json
 import math
 import os
 import shlex
@@ -29,9 +30,11 @@ from rwp.radial import DEFAULT_GRID_POINTS, outer_radius, radial_table
 
 
 def run_cli(args, **env):
-    """Run the CLI in a fresh interpreter with extra environment variables."""
+    """Run the CLI in a fresh interpreter with extra environment variables;
+    a variable given as None is removed from the inherited environment."""
     src = str(Path(rwp.__file__).resolve().parents[1])
-    full_env = dict(os.environ, **env)
+    full_env = {key: value for key, value in dict(os.environ, **env).items()
+                if value is not None}
     full_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=full_env,
@@ -370,12 +373,17 @@ class TestFlagSets:
         assert list(tmp_path.iterdir()) == []
 
 
+def readme_block(heading, language):
+    """The first ``language`` code block under the README's ``heading``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_cli_examples():
     """argv of each ``rwp`` line in the README's "CLI usage" code block,
     continuation lines joined."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text().split("## CLI usage", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("CLI usage", "sh")
     return [shlex.split(line)[1:]
             for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("rwp ")]
@@ -392,6 +400,11 @@ class TestReadme:
             assert main(argv) == 0, argv
             written = capsys.readouterr().out.split()
             assert written and all(map(os.path.exists, written))
+
+    def test_library_example_runs(self):
+        namespace = {}
+        exec(readme_block("Library", "python"), namespace)
+        np.testing.assert_allclose(namespace["norm"], 1.0, rtol=0, atol=1e-6)
 
 
 class TestDeterminism:
@@ -413,15 +426,16 @@ class TestDeterminism:
          ["out.csv"]),
     ])
     def test_byte_identical_across_blas_threads(self, tmp_path, args, files):
+        # None leaves the variable unset: the CLI's own default
         outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
+        for threads in (None, "1", "2"):
+            out = tmp_path / str(threads)
             out.mkdir()
             proc = run_cli(["-m", "rwp.cli", *args, "--out", str(out / "out.csv")],
                            OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             outputs.append([(out / name).read_bytes() for name in files])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestStartup:
@@ -430,6 +444,57 @@ class TestStartup:
                               "print('scipy.signal' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_package_import_skips_numpy(self):
+        proc = run_cli(["-c", "import sys, rwp; "
+                              "print('numpy' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("code, inherited, expected", [
+        ("import os, rwp.cli", None, "1"),
+        ("import os, rwp.cli", "3", "3"),
+        ("import os, numpy, rwp.cli", None, "None"),
+    ], ids=["unset", "user-value", "numpy-first"])
+    def test_cli_import_sets_one_blas_thread(self, code, inherited, expected):
+        proc = run_cli(["-c", code + "; "
+                        "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+                       OPENBLAS_NUM_THREADS=inherited)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task")
+    def test_cli_import_runs_one_thread(self):
+        proc = run_cli(["-c", "import os, rwp.cli; "
+                              "print(len(os.listdir('/proc/self/task')))"],
+                       OPENBLAS_NUM_THREADS=None)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
+
+    def test_public_surface(self):
+        # dir(), the star import and __all__ name the same public names, each
+        # resolves on first use, and listing them loads nothing
+        proc = run_cli(["-c", """if 1:
+            import json, sys, rwp
+            listed = sorted(n for n in dir(rwp) if not n.startswith("_"))
+            loaded = "numpy" in sys.modules
+            star = {}
+            exec("from rwp import *", star)
+            star.pop("__builtins__")
+            print(json.dumps([listed, sorted(star), sorted(rwp.__all__),
+                              loaded, callable(rwp.radial.radial_table)]))
+            """])
+        assert proc.returncode == 0, proc.stderr
+        listed, star, names, loaded, resolved = json.loads(proc.stdout)
+        assert listed == star == names
+        assert {"core", "errors", "observables", "packet", "radial",
+                "radial_table", "RwpError"} <= set(names)
+        assert not loaded and resolved
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'radial_eval'"):
+            rwp.radial_eval
 
 
 AWKWARD = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf,
