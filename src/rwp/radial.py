@@ -160,7 +160,10 @@ def _recurrence(rho, lognorm, l, k_top):
     f_prev = np.zeros(rho.shape)  # degree 0: L_0 = 1
     f_prev[live] = np.exp(logw[live] - expo[live] * _LN2)
     out = np.empty(rho.shape)
-    i0 = int(np.searchsorted(k_top, 0, side="right"))
+    # k_top is consecutive, so the rows done by degree k are the first
+    # k - k_top[0] + 1 (clipped to 0..len): the suffix [i0:] still runs
+    k0 = int(k_top[0])
+    i0 = min(len(k_top), max(0, 1 - k0))
     np.ldexp(f_prev[:i0], expo[:i0], out=out[:i0])
     if i0 == len(rho):
         return out
@@ -169,7 +172,7 @@ def _recurrence(rho, lognorm, l, k_top):
     buf = np.empty(rho.shape)
     np.multiply(f_prev[i0:], (1.0 + alpha) - rho[i0:], out=f_cur[i0:])
     for k in range(1, int(k_top[-1])):
-        i1 = int(np.searchsorted(k_top, k, side="right"))
+        i1 = min(len(k_top), k - k0 + 1)
         if i1 > i0:
             np.ldexp(f_cur[i0:i1], expo[i0:i1], out=out[i0:i1])
             i0 = i1

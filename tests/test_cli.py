@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -322,6 +323,38 @@ class TestConfigPrecedence:
         assert len(data) == 5
         assert data[-1][0] == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_explicit_sigma_drops_preset_widths(self, tmp_path, via):
+        # fig 2 lists two widths; a sigma given by flag or file is the one
+        given = (["--sigma", "3"] if via == "flag" else
+                 ["--config", str(tmp_path / "run.cfg")])
+        (tmp_path / "run.cfg").write_text("sigma = 3\n")
+        out = tmp_path / "run" / "ac.csv"
+        out.parent.mkdir()
+        assert main(["observables", "--figure", "2", *given, "--samples", "5",
+                     "--out", str(out)]) == 0
+        assert os.listdir(out.parent) == ["ac.csv"]
+        main(["observables", "--Z", "92", "--a", "0", "--b", "1", "--sigma",
+              "3", "--samples", "5", "--out", str(tmp_path / "ref.csv")])
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_explicit_n_av_drops_preset_scan(self, tmp_path, via):
+        # fig 3 scans n_av 20-150; an n_av given by flag or file is the row
+        given = (["--n-av", "50"] if via == "flag" else
+                 ["--config", str(tmp_path / "run.cfg")])
+        (tmp_path / "run.cfg").write_text("n_av = 50\n")
+        out = tmp_path / "t.csv"
+        assert main(["timescales", "--figure", "3", *given,
+                     "--out", str(out)]) == 0
+        _, data = read_csv(out)
+        assert data[:, 0].tolist() == [50.0]
+        # an explicit scan still wins over the explicit n_av
+        assert main(["timescales", "--figure", "3", *given, "--scan", "20",
+                     "22", "--out", str(out)]) == 0
+        _, data = read_csv(out)
+        assert data[:, 0].tolist() == [20.0, 21.0, 22.0]
+
 
 # the flags every command takes, and per command those of the settings it
 # reads
@@ -521,7 +554,12 @@ class TestWriters:
         np.arange(256).reshape(16, 16),
         np.array([[-0.0, 0.0, 255.0], [1.0, 254.0, 10.0]]),
         np.zeros((3, 0)),
-    ], ids=["all-256-one-row", "int-dtype", "signed-zero", "zero-width"])
+        # 37 rows are not a multiple of the rows per block
+        np.random.default_rng(8).integers(0, 256, (37, 5001)).astype(float),
+        np.arange(256.0)[:, None],
+        np.zeros((0, 5)),
+    ], ids=["all-256-one-row", "int-dtype", "signed-zero", "zero-width",
+            "multi-block", "width-1", "zero-height"])
     def test_pgm_matches_reference(self, tmp_path, pixels):
         write_pgm(tmp_path / "new.pgm", pixels)
         ref_write_pgm(tmp_path / "ref.pgm", pixels)
@@ -530,21 +568,43 @@ class TestWriters:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, -0.5, 256.0, 254.5])
     def test_pgm_bad_pixel_writes_nothing(self, tmp_path, bad):
-        pixels = np.full((4, 5), 17.0)
-        pixels[3, 2] = bad
-        path = tmp_path / "bad.pgm"
-        with pytest.raises(RwpError, match="0..255"):
-            write_pgm(path, pixels)
-        assert not path.exists()
+        # also in the last row of an image of several blocks
+        for shape, where in (((4, 5), (3, 2)), ((201, 5001), (-1, -1))):
+            pixels = np.full(shape, 17.0)
+            pixels[where] = bad
+            path = tmp_path / "bad.pgm"
+            with pytest.raises(RwpError, match="0..255"):
+                write_pgm(path, pixels)
+            assert not path.exists()
+
+    def test_pgm_streams_in_blocks(self, tmp_path):
+        # a fig-6 image: the writer holds a small part of it at a time
+        pixels = np.random.default_rng(9).integers(0, 256, (201, 5001))
+        pixels = pixels.astype(float)
+        tracemalloc.start()
+        try:
+            write_pgm(tmp_path / "big.pgm", pixels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= pixels.nbytes / 4
 
     def test_carpet_matches_reference_writers(self, tmp_path):
+        for samples in (9, 101):  # one block of write_pgm, and several
+            self.check_carpet(tmp_path / str(samples), samples)
+
+    @staticmethod
+    def check_carpet(out_dir, samples):
+        """The CLI carpet, PGM and CSV, against the library one written the
+        per-value way."""
+        out_dir.mkdir()
         args = ["carpet", "--Z", "92", "--a", "0.6", "--b", "0.8",
-                "--samples", "9", "--grid-points", "1001", "--t-max", "1.5"]
+                "--samples", str(samples), "--grid-points", "1001",
+                "--t-max", "1.5"]
         for fmt in ("pgm", "csv"):
             proc = run_cli(["-m", "rwp.cli", *args, "--format", fmt,
-                            "--out", str(tmp_path / f"c.{fmt}")])
+                            "--out", str(out_dir / f"c.{fmt}")])
             assert proc.returncode == 0, proc.stderr
-        # the same carpet built from the library, written the per-value way
         params = PhysicalParams(Z=92, l=1)
         packet = build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.6, b=0.8),
                               params.l)
@@ -552,17 +612,17 @@ class TestWriters:
         r = np.linspace(0.0, outer_radius(params, packet.n_max), 1001)
         table = radial_table(params, packet.n_min, packet.n_max, r)
         t_cl = time_scales(params, 80).t_cl
-        t_axis = np.linspace(0.0, 1.5 * t_cl, 9)
+        t_axis = np.linspace(0.0, 1.5 * t_cl, samples)
         rho1, rho2 = densities(packet, energies, table, t_axis)
         rho_max = max(rho1.max(), rho2.max())
         for name, rho in (("rho1", rho1), ("rho2", rho2)):
-            ref_write_pgm(tmp_path / f"ref_{name}.pgm",
+            ref_write_pgm(out_dir / f"ref_{name}.pgm",
                           np.rint(255.0 * rho / rho_max))
-            ref_write_carpet_csv(tmp_path / f"ref_{name}.csv", r,
+            ref_write_carpet_csv(out_dir / f"ref_{name}.csv", r,
                                  t_axis / t_cl, rho)
             for ext in ("pgm", "csv"):
-                assert (tmp_path / f"c_{name}.{ext}").read_bytes() == \
-                    (tmp_path / f"ref_{name}.{ext}").read_bytes()
+                assert (out_dir / f"c_{name}.{ext}").read_bytes() == \
+                    (out_dir / f"ref_{name}.{ext}").read_bytes()
 
 
 class TestBadInput:
