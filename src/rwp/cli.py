@@ -19,6 +19,8 @@ Imported before numpy, this module runs OpenBLAS on one thread unless
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import math
 import os
 import sys
@@ -33,17 +35,31 @@ from dataclasses import dataclass, replace
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np  # noqa: E402
+# The imports below add about 12,000 long-lived objects that the cyclic GC
+# tracks, and it walks them again and again: in the passes that the imports
+# trigger, and in the full pass at exit.  So the collector is off
+# while they load (and back on only if it was on), and main() freezes them
+# when it runs as the program.  CPU of "python -c 'import rwp.cli'", median
+# of 21 (2-core x86-64): 0.275 s as it was; 0.276 s with the collector off
+# for the imports alone; 0.251 s with gc.freeze() after them; 0.248 s with
+# both; 0.231 s with os._exit, which skips finalization altogether.
+_GC_WAS_ENABLED = gc.isenabled()
+gc.disable()
+try:
+    import numpy as np
 
-from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST, PhysicalParams,
-                   energy_table, t_ls_lowest_order, time_scales)
-from .errors import InvalidRange, RwpError
-from .observables import densities, observable_series
-from .packet import N_LIMIT, PacketSpec, build_packet, truncation_bounds
-from .radial import (DEFAULT_GRID_POINTS, make_grid, outer_radius,
-                     radial_table)
+    from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST,
+                       PhysicalParams, energy_table, t_ls_lowest_order,
+                       time_scales)
+    from .errors import InvalidRange, RwpError
+    from .observables import densities, observable_series
+    from .packet import N_LIMIT, PacketSpec, build_packet, truncation_bounds
+    from .radial import (DEFAULT_GRID_POINTS, make_grid, outer_radius,
+                         radial_table)
+finally:
+    if _GC_WAS_ENABLED:
+        gc.enable()
 
-_FMT = "%.17g"
 # entry v holds the ASCII of "v ", entry 256 + v that of "v\n", NUL-padded to
 # 4 bytes; built from bytes, so tobytes() gives them back on any endianness
 _PIXEL_WORDS = np.frombuffer(b"".join(
@@ -239,15 +255,157 @@ def _out_path(cfg: RunConfig, default: str, suffix: str = "") -> str:
     return f"{stem}{suffix}{ext}"
 
 
+# %.17g in numpy.  For finite non-zero |x|, E = floor(log10 |x|) is only an
+# estimate (log10 may round across a power of ten).  y = |x| 10**(16 - E) is
+# formed as a = |x| 2**k times 10**(16 - E) / 2**k, the second a
+# double-double hi + lo built exactly from Python ints; the exact power of
+# two 2**k keeps a, hi, lo and every partial product normal and finite for
+# any double.  Dekker's TwoProduct (Numer. Math. 18, 1971) with Veltkamp's
+# split gives p + err = a hi exactly: numpy has no fma, and it never fuses
+# two ufunc calls.  With t = err + a lo, y - (p + t) is below 2**-103 y, so
+# under 1e-14 for y < 1e17, and p is an integer wherever y >= 2**53.  So
+# D = p + floor(t) + (frac(t) > 1/2) holds the 17 correctly rounded digits,
+# unless frac(t) is within 1e-9 of 1/2 (a tie, or too near one to tell) or
+# floor(p + t) falls outside [1e16, 1e17) (E was wrong); those values take
+# "%.17g" % x, one at a time.  D = 1e17 carries to 1e16 with E + 1.  log10
+# picks only E, so the bytes do not depend on numpy's SIMD level.
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _split(a):
+    """Veltkamp's split: hi + lo == a exactly, each with at most 26 bits."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _scaled_pow10(e: int) -> tuple:
+    """(2**k, hi, hi's split halves, lo) for values of decimal exponent e:
+    hi + lo is 10**(16 - e) / 2**k to twice double precision."""
+    k = 512 if e < -270 else -512 if e > 270 else 0
+    num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+    num, den = (num, den << k) if k > 0 else (num << -k, den)
+    hi = num / den  # int true division rounds correctly
+    p, q = hi.as_integer_ratio()
+    return (2.0 ** k, hi, *_split(hi), (num * q - p * den) / (den * q))
+
+
+def _g17_digits(a):
+    """(D, E, exact) for finite non-zero magnitudes ``a``: %.17g's digits as
+    an int64 in [1e16, 1e17) and the decimal exponent of the first, where
+    ``exact``; elsewhere D and E are not to be used."""
+    e = np.floor(np.log10(a)).astype(np.int64)
+    first = int(e.min())
+    table = np.array([_scaled_pow10(i)
+                      for i in range(first, int(e.max()) + 1)]).T
+    scale, hi, hi_hi, hi_lo, lo = np.take(table, e - first, axis=1)
+    a = a * scale
+    p = a * hi
+    a_hi, a_lo = _split(a)
+    err = a_lo * hi_lo - (((p - a_hi * hi_hi) - a_lo * hi_hi) - a_hi * hi_lo)
+    t = err + a * lo
+    whole = np.floor(t)
+    frac = t - whole
+    d = p.astype(np.int64) + whole.astype(np.int64)
+    exact = (np.abs(frac - 0.5) > 1e-9) & (d >= 10 ** 16) & (d < 10 ** 17)
+    d += frac > 0.5
+    carry = d == 10 ** 17
+    d -= carry * (9 * 10 ** 16)
+    return d, e + carry, exact
+
+
+# Each value owns 47 byte slots, NUL where unused: the sign; a lead of up to
+# 5 bytes, "0." and up to 3 zeros, "nan", "inf" or "0"; 17 digits, each
+# followed by "." or NUL; an exponent "e+dd" or "e+ddd"; "," or "\r\n".  For
+# a finite non-zero value the lead and the exponent depend on its decimal
+# exponent E alone, so column E + 324 of one table holds both (10 bytes);
+# columns 633, 634 and 635 hold those of 0, NaN and infinity.
+@functools.cache
+def _csv_affixes() -> np.ndarray:
+    """The (10, 636) lead-and-exponent table, built on first use."""
+    return np.frombuffer(b"".join(
+        (lead.ljust(5, "\0") + exp.ljust(5, "\0")).encode()
+        for lead, exp in [("0." + "0" * (-e - 1) if -4 <= e < 0 else "",
+                           "" if -4 <= e < 17 else f"e{e:+03d}")
+                          for e in range(-324, 309)]
+        + [("0", ""), ("nan", ""), ("inf", "")]),
+        dtype=np.uint8).reshape(-1, 10).T.copy()
+
+
+_DIGIT_SLOT = np.arange(17, dtype=np.uint8)[:, None]  # j, one row per digit
+# Values per block of rows that write_csv formats at once (at least one row).
+# Best/median of 25 in ms, and traced peak MB, on the fig-4 observables table
+# (7001 x 10), a Rydberg density (5001 x 4) and a fig-6 carpet (201 x 5002,
+# best/median of 5), 2-core x86-64, AVX-512: 8192: 17.5/22.8, 6.8/7.5,
+# 236/289, 1.8 MB; 16384: 17.0/22.5, 5.4/7.2, 264/293, 3.6 MB; 32768:
+# 17.5/22.8, 5.2/6.5, 218/296, 7.2 MB; 65536: 18.7/23.0, 5.0/6.5, 257/348,
+# 14.3 MB.  One "%" per row, as before: 49.5/58.2, 25.7/29.8, 961/1015.
+_CSV_BLOCK_VALUES = 16384
+
+
+def _csv_block(rows: np.ndarray) -> bytes:
+    """The CSV lines of a 2-D float64 array, "%.17g" % value for each value.
+
+    The text goes slot-major into a (47, values) byte matrix, one contiguous
+    row per slot, which is transposed once; deleting its NULs leaves the text.
+    """
+    height, width = rows.shape
+    x = rows.ravel()
+    a = np.abs(x)
+    regular = (a > 0) & (a < np.inf)
+    a[~regular] = 1.0
+    d, e, exact = _g17_digits(a)
+    fixed = (-4 <= e) & (e < 17)  # %g's fixed notation
+    out = np.zeros((47, x.size), np.uint8)
+    out[0] = (np.signbit(x) & ~np.isnan(x)).view(np.uint8) * np.uint8(45)
+    affix = (regular * (e + 324)
+             + ~regular * (633 + np.isnan(x) + 2 * np.isinf(x)))
+    affixes = np.take(_csv_affixes(), affix, axis=1)
+    out[1:6], out[40:45] = affixes[:5], affixes[5:]
+    digits = np.empty((17, x.size), np.uint8)
+    for part, last in zip(np.divmod(d, 10 ** 8), (8, 16)):
+        part = part.astype(np.uint32)
+        for j in range(last, 8 if last == 16 else -1, -1):
+            rest = part // 10
+            digits[j] = part - 10 * rest
+            part = rest
+    # significant digits, then those shown: the integer part in full
+    sig = ((digits != 0).view(np.uint8) * (_DIGIT_SLOT + 1)).max(axis=0)
+    shown = (np.maximum(sig, (e + 1) * fixed) * regular).astype(np.uint8)
+    digits += 48
+    out[6:40:2] = (_DIGIT_SLOT < shown).view(np.uint8) * digits
+    # the dot follows digit E (digit 0 in e-notation) if more digits follow;
+    # a fixed E < 0 wraps to 252..255, past every digit
+    dot = (e * fixed).astype(np.uint8)
+    has_dot = (_DIGIT_SLOT == dot) & (shown > dot + 1)
+    out[7:40:2] = has_dot.view(np.uint8) * np.uint8(46)
+    sep = out[45:].reshape(2, height, width)
+    sep[0] = 44
+    sep[:, :, -1] = [[13], [10]]
+    slow = np.flatnonzero(regular & ~exact)
+    if slow.size:
+        text = b"".join(("%.17g" % v).encode().ljust(45, b"\0")
+                        for v in x[slow].tolist())
+        out[:45, slow] = np.frombuffer(text, np.uint8).reshape(-1, 45).T
+    return out.T.tobytes().translate(None, b"\0")
+
+
 def write_csv(path: str, header: list, columns: list):
-    """CRLF CSV, every value as ``%.17g``: one row format per file, one ``%``
-    call per row."""
-    rows = np.column_stack(columns)
-    line = ",".join([_FMT] * rows.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(line % tuple(row.tolist()))
+    """CRLF CSV of the stacked columns, every value as ``%.17g`` (an int as
+    ``%.17g`` of its float).
+
+    Each block of rows, about ``_CSV_BLOCK_VALUES`` values, is stacked and
+    formatted by ``_csv_block`` in numpy, then written; the bytes are those
+    of formatting each value on its own.
+    """
+    width = np.column_stack([c[:1] for c in columns]).shape[1]
+    step = max(1, _CSV_BLOCK_VALUES // width)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, len(columns[0]), step):
+            block = np.column_stack([c[start:start + step] for c in columns])
+            fh.write(_csv_block(block.astype(float, copy=False)))
 
 
 def write_pgm(path: str, pixels: np.ndarray):
@@ -404,7 +562,8 @@ def cmd_carpet(cfg: RunConfig) -> list:
     pgm = cfg.format == "pgm" or (cfg.format is None and ext == ".pgm")
     # joint scaling: the brightest pixel across both components is 255
     rho_max = max(rho1.max(), rho2.max())
-    header = None if pgm else ["t\\r"] + [_FMT % v for v in table.r]
+    header = None if pgm else ["t\\r", *_csv_block(table.r[None, :]).decode()
+                                .removesuffix("\r\n").split(",")]
     written = []
     for name, rho in (("rho1", rho1), ("rho2", rho2)):
         if pgm:
@@ -437,6 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # the program itself: no caller's objects to keep in view
+        gc.freeze()
     parser = build_parser()
     cli_args = vars(parser.parse_args(argv))
     command = cli_args.pop("command")

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import rwp
-from rwp.cli import _FLAGS, build_parser, main, write_csv, write_pgm
+from rwp.cli import (_CSV_BLOCK_VALUES, _FLAGS, _g17_digits, build_parser,
+                     main, write_csv, write_pgm)
 from rwp.core import (ATOMIC_TIME_SECONDS, PhysicalParams, energy_table,
                       reduced_energy, time_scales)
 from rwp.errors import RwpError
@@ -66,6 +68,12 @@ def ref_write_carpet_csv(path, r_axis, t_axis, rho):
         for t, row in zip(t_axis, rho):
             fh.write("%.17g" % t + ","
                      + ",".join("%.17g" % v for v in row) + "\r\n")
+
+
+def simd_targets():
+    """numpy's dispatch targets above its baseline that this CPU runs."""
+    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
 
 
 def read_csv(path):
@@ -470,6 +478,37 @@ class TestDeterminism:
             outputs.append([(out / name).read_bytes() for name in files])
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_csv_bytes_independent_of_simd_level(self, tmp_path):
+        # input made without any SIMD kernel: random bit patterns, and
+        # uniform doubles scaled by exact powers of two
+        targets = simd_targets()
+        if not targets:
+            pytest.skip("numpy dispatches to its baseline only on this host")
+        code = """if 1:
+            import sys
+            import numpy as np
+            from rwp.cli import write_csv
+            core = np._core if hasattr(np, "_core") else np.core
+            umath = core._multiarray_umath
+            print(" ".join(t for t in umath.__cpu_dispatch__
+                           if umath.__cpu_features__.get(t)))
+            rng = np.random.default_rng(21)
+            bits = rng.integers(0, 2 ** 63, (3000, 4)).view(np.float64)
+            spread = np.ldexp(rng.random((3000, 4)),
+                              rng.integers(-1074, 1024, (3000, 4)))
+            write_csv(sys.argv[1], ["c"] * 9, [bits, -bits[:, 0], spread])
+            """
+        outputs = []
+        # every target the host offers, then fewer, down to the baseline
+        for level in range(len(targets), -1, -1):
+            path = tmp_path / f"level{level}.csv"
+            proc = run_cli(["-c", code, str(path)],
+                           NPY_DISABLE_CPU_FEATURES=" ".join(targets[level:]))
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == targets[:level]
+            outputs.append(path.read_bytes())
+        assert all(out == outputs[0] for out in outputs)
+
 
 class TestStartup:
     def test_cli_import_skips_scipy_signal(self):
@@ -505,6 +544,32 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1"
 
+    @pytest.mark.parametrize("code, expected", [
+        ("import gc, rwp.cli", "True 0"),
+        ("import gc; gc.disable(); import rwp.cli", "False 0"),
+    ], ids=["gc-on", "gc-off"])
+    def test_cli_import_leaves_gc_as_found(self, code, expected):
+        proc = run_cli(["-c", code + "; "
+                        "print(gc.isenabled(), gc.get_freeze_count())"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+    def test_only_the_program_freezes(self, tmp_path, capsys):
+        # main(argv), called in a process, freezes nothing; main() with no
+        # argv is the program itself (python -m rwp.cli, the rwp script)
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert main(["energies", "--Z", "92",
+                     "--out", str(tmp_path / "in.csv")]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+        out = str(tmp_path / "program.csv")
+        proc = run_cli(["-c", "import gc, sys, rwp.cli; sys.argv[1:] = "
+                        f"['energies', '--Z', '92', '--out', {out!r}]; "
+                        "code = rwp.cli.main(); "
+                        "print(code, gc.isenabled(), "
+                        "gc.get_freeze_count() > 0)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-3:] == ["0", "True", "True"]
+
     def test_public_surface(self):
         # dir(), the star import and __all__ name the same public names, each
         # resolves on first use, and listing them loads nothing
@@ -534,6 +599,63 @@ AWKWARD = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf,
                     -np.inf, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, 1e-300, 123456789.0])
 
 
+def with_neighbours(x, steps=1):
+    """x and the ``steps`` doubles on either side of each value, both signs."""
+    near = [x]
+    for toward in (-np.inf, np.inf):
+        side = x
+        for _ in range(steps):
+            side = np.nextafter(side, toward)
+            near.append(side)
+    x = np.concatenate(near)
+    return np.concatenate([x, -x])
+
+
+def exact_ties():
+    """Doubles whose 17-digit rounding is an exact tie, x 10**s = D + 1/2 with
+    1e16 <= D < 1e17: x = M / 2**(s + 1) with M odd and M < 2**53 is exact,
+    and x 10**s = M 5**s / 2, so M 5**s in [2e16, 2e17).  Such s run 1..24."""
+    rng = np.random.default_rng(11)
+    ties = [1234567890.00390625]
+    for s in range(1, 25):
+        low = -(-2 * 10 ** 16 // 5 ** s)
+        high = min(2 * 10 ** 17 // 5 ** s, 2 ** 53)
+        ties += [math.ldexp(int(m) | 1, -(s + 1))
+                 for m in rng.integers(low, high - 1, 8)]
+    return np.array(ties)
+
+
+POWERS_OF_TWO = with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
+POWERS_OF_TEN = with_neighbours(np.array([float(f"1e{k}")
+                                          for k in range(-323, 309)]))
+TIES = exact_ties()
+# %g's switch from fixed to e-notation at exponents -4 and 17
+SWITCH_POINTS = with_neighbours(np.array([1e-4, 1e-5, 1e16, 1e17]), steps=4)
+BIG_INTS = np.array([2 ** 53, 2 ** 53 + 1, 2 ** 53 + 3, 2 ** 62 + 1,
+                     2 ** 63 - 1, -2 ** 63, -(2 ** 53 + 1), 123456789012345678],
+                    dtype=np.int64)
+
+
+def wide_doubles(shape, seed):
+    """Random doubles of either sign spread over 36 decades."""
+    rng = np.random.default_rng(seed)
+    return np.ldexp(rng.random(shape) - 0.5, rng.integers(-60, 60, shape))
+
+
+# row counts 0, 1 and around one write_csv block, at 1 and at 10 columns
+BLOCK_EDGES = {f"{rows}x{width}": [wide_doubles((rows, width), rows)]
+               for width in (1, 10)
+               for block in [_CSV_BLOCK_VALUES // width]
+               for rows in (0, 1, block - 1, block, block + 1)}
+
+
+def assert_csv_matches_reference(tmp, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp / "new.csv", header, columns)
+    ref_write_csv(tmp / "ref.csv", header, columns)
+    assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
 class TestWriters:
     @pytest.mark.parametrize("columns", [
         [AWKWARD],
@@ -541,13 +663,53 @@ class TestWriters:
         [np.arange(len(AWKWARD)), AWKWARD],
         [np.arange(5), np.arange(5) * 7],
         [np.empty(0), np.empty(0)],
-    ], ids=["one-column", "three-columns", "int-and-float", "all-int", "no-rows"])
+        [POWERS_OF_TWO],
+        [POWERS_OF_TEN.reshape(-1, 6)],
+        [TIES, np.nextafter(TIES, 0), np.nextafter(TIES, np.inf)],
+        [SWITCH_POINTS],
+        [BIG_INTS],
+        [BIG_INTS, BIG_INTS.astype(float)],
+        *BLOCK_EDGES.values(),
+    ], ids=["one-column", "three-columns", "int-and-float", "all-int", "no-rows",
+            "powers-of-two", "powers-of-ten", "ties", "switch-points",
+            "int64-beyond-2**53", "int64-and-float", *BLOCK_EDGES])
     def test_csv_matches_reference(self, tmp_path, columns):
-        header = [f"c{i}" for i in range(len(columns))]
-        write_csv(tmp_path / "new.csv", header, columns)
-        ref_write_csv(tmp_path / "ref.csv", header, columns)
-        assert (tmp_path / "new.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+        assert_csv_matches_reference(tmp_path, columns)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=60),
+           width=st.integers(1, 4))
+    def test_csv_matches_reference_on_any_bits(self, bits, width):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        rows = len(values) // width or 1
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_csv_matches_reference(
+                Path(tmp), [values[:rows * width].reshape(rows, -1)])
+
+    def test_csv_falls_back_where_digits_are_in_doubt(self):
+        # these take "%.17g" % x, which the tests above compare: every exact
+        # tie, and every double just below a power of ten whose exponent
+        # log10 rounds up to that power's
+        assert not _g17_digits(TIES)[2].any()
+        below = np.nextafter(np.array([float(f"1e{k}")
+                                       for k in range(-300, 301)]), 0)
+        rounded_up = np.log10(below) == np.round(np.log10(below))
+        if not rounded_up.any():
+            pytest.skip("log10 rounds no exponent up on this host")
+        assert not _g17_digits(below[rounded_up])[2].any()
+
+    def test_csv_streams_in_blocks(self, tmp_path):
+        # a fig-6 carpet table: the writer holds a small part of it at a time
+        rho = wide_doubles((201, 5001), 12)
+        columns = [np.arange(201.0), rho]
+        header = ["t"] + [f"r{i}" for i in range(5001)]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "big.csv", header, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rho.nbytes / 2
 
     @pytest.mark.parametrize("pixels", [
         np.random.default_rng(7).permutation(256).astype(float)[None, :],
