@@ -607,6 +607,9 @@ def main(argv=None) -> int:
     except (RwpError, OSError, MemoryError) as exc:
         print(f"rwp: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # 128 + SIGINT, as a shell reports it
+        print("rwp: interrupted", file=sys.stderr)
+        return 130
     for path in written:
         print(path)
     return 0

@@ -6,7 +6,7 @@ Simpson weights in x, the Jacobian dr/dx folded in.  Points crowd towards the
 nucleus, where R_{n,l} varies on the scale 1/Z, and thin out over the slowly
 varying outer region, so a few thousand points hold the Gram matrix of
 n <= 200 (Z = 92) and n <= 410 (Z = 1) within 1e-12 of identity, and of
-n 960-1000 (packet.N_LIMIT) at Z = 1 and Z = 92 within 2e-12.
+n 960-1000 (packet.N_LIMIT) at Z = 1 and Z = 92 within 3e-12.
 
 R_{n,l}(r) is needed at Rydberg n (the tests go to n = 1000), where the
 textbook normalization sqrt((n-l-1)!/(2n (n+l)!)) overflows long before the
@@ -14,13 +14,13 @@ function values do.  Evaluation therefore runs the three-term Laguerre
 recurrence on the *fully weighted* function (exponential, power and
 normalization folded in via log-gamma) while carrying an explicit
 power-of-two exponent per grid point, so no intermediate ever leaves the
-double range.  A table runs the recurrence for all its n at once, over
-blocks of radii small enough to stay in cache; a row that reaches its
-degree drops out.
-The rescale check runs only every few steps, as often as a growth bound per
-block requires, and gives the bits of a check at every step.  A radius so
-far out that its start weight lies below 2^(-2^40), or that 2 Z r/n
-overflows, gives +0.0.
+double range.  It carries k! L_k, so a step divides by nothing; the
+1/(n-l-1)! of the last degree joins the normalization.  A table runs the
+recurrence for all its n at once, over blocks of radii small enough to stay
+in cache; a row that reaches its degree drops out.  The rescale check runs
+only every few steps, as often as a growth bound per block requires, and
+gives the bits of a check at every step.  A radius so far out that its start
+weight lies below 2^(-2^40), or that 2 Z r/n overflows, gives +0.0.
 """
 
 from __future__ import annotations
@@ -46,11 +46,10 @@ _RESCALE_DOWN = 2.0 ** -_RESCALE_POW
 # least log2 of a start weight that the recurrence runs (see _recurrence)
 _LOG2W_MIN = -2.0 ** 40
 # Radii per block of the all-n recurrence, so that a block's rows stay in
-# cache.  radial_table on the 5001-point grid, l = 1, best of 5 (2-core x86-64,
-# AVX-512), Z 92 n 157-197 / Z 1 n 390-410 / Z 92 n 70-90, in seconds:
-# 256: 0.22/0.32/0.070, 512: 0.16/0.22/0.045, 1024: 0.15/0.20/0.036,
-# 2048: 0.18/0.19/0.035, one block of 5001: 0.31/0.30/0.043; one row per n,
-# as before: 0.37/0.49/0.076.
+# cache.  radial_table on the 5001-point grid, l = 1, best of 15 (2-core
+# x86-64, AVX-512), Z 92 n 157-197 / Z 1 n 390-410 / Z 92 n 70-90, in ms:
+# 256: 86/102/30, 512: 79/76/21, 1024: 67/79/16, 2048: 97/74/15, one block
+# of 5001: 135/116/29.
 _BLOCK_COLUMNS = 1024
 
 
@@ -116,9 +115,9 @@ def make_grid(params: PhysicalParams, n_max: int,
 
 
 def _lognorm(Z: int, n: int, l: int) -> float:
-    """log of the normalization (2Z/n)^{3/2} sqrt((n-l-1)!/(2n (n+l)!))."""
+    """log of (2Z/n)^{3/2} sqrt((n-l-1)!/(2n (n+l)!)) / (n-l-1)!."""
     return (1.5 * math.log(2.0 * Z / n)
-            + 0.5 * (math.lgamma(n - l) - math.log(2.0 * n)
+            + 0.5 * (-math.lgamma(n - l) - math.log(2.0 * n)
                      - math.lgamma(n + l + 1)))
 
 
@@ -126,16 +125,17 @@ def _check_stride(k_max: int, alpha: int, rho_max: float) -> int:
     """Steps between rescale checks of a block whose rows run to degree
     k_max over rho <= rho_max.
 
-    A step forms (2k+1+alpha-rho) F_k - (k+alpha) F_{k-1}, so no product,
-    difference or quotient of a step exceeds G = 3 k_max + 1 + 2 alpha +
-    rho_max times max(|F_k|, |F_{k-1}|).  A check leaves both below 2^523
-    (a value below 2^1023 scaled by 2^-500, or one left at <= 2^500), and so
-    does the start (F_0 < 2, F_1 < 2 G), so stride steps with G^stride <=
-    2^500 keep every value below 2^1023.  A live rho stays below 2^41
-    (_LOG2W_MIN), so the stride is at least 11 at any k_max < 2^40.
+    A step forms (2k+1+alpha-rho) H_k - k(k+alpha) H_{k-1}, so no product
+    or difference of a step exceeds G = 2 k_max + 1 + alpha + rho_max +
+    k_max (k_max + alpha) times max(|H_k|, |H_{k-1}|).  A check leaves both
+    below 2^523 (a value below 2^1023 scaled by 2^-500, or one left at
+    <= 2^500), and so does the start (H_0 < 2, H_1 < 2 G), so stride steps
+    with G^stride <= 2^500 keep every value below 2^1023.  A live rho stays
+    below 2^41 (_LOG2W_MIN), so G < 2^42 and the stride is at least 11 while
+    k_max and alpha stay below 2^20 (25 at n = 1000 near the turning point).
     """
-    return int(_RESCALE_POW // math.log2(3.0 * k_max + 1 + 2 * alpha
-                                         + rho_max))
+    return int(_RESCALE_POW // math.log2(2.0 * k_max + 1 + alpha + rho_max
+                                         + k_max * (k_max + alpha)))
 
 
 def _recurrence(rho, lognorm, l, k_top):
@@ -147,9 +147,10 @@ def _recurrence(rho, lognorm, l, k_top):
             logw = lognorm - 0.5 * rho + l * np.log(rho)
     alpha = 2 * l + 1
     log2w = logw / _LN2
-    # A start weight below 2^(-2^40), or a NaN one (rho = inf), is dead:
-    # e^(-rho/2) at rho > 2^40 stays 0 times any polynomial factor (1 + rho)^k
-    # with k < 10^9.  Dead columns run on rho = 0 with F = 0 and give +0.0;
+    # A start weight below 2^(-2^40), or a NaN one (rho = inf), is dead: its
+    # 1/k_top! is above 2^(-2^35) at k_top < 10^9, so it needs rho > 2^40,
+    # where e^(-rho/2) stays 0 times k! L_k^alpha <= k! (k+alpha choose k)
+    # (1 + rho)^k.  Dead columns run on rho = 0 with H = 0 and give +0.0;
     # r = 0 at l > 0 (log 0 = -inf) is one.  Above the cutoff expo fits int64
     # and logw - expo ln2 is within 2^-11 of [0, ln 2), so a start mantissa
     # lies in [1, 2) up to rounding.
@@ -176,33 +177,31 @@ def _recurrence(rho, lognorm, l, k_top):
         if i1 > i0:
             np.ldexp(f_cur[i0:i1], expo[i0:i1], out=out[i0:i1])
             i0 = i1
-        # degree k+1 = ((2k+1+alpha-rho) F_k - (k+alpha) F_{k-1})/(k+1),
-        # written over F_{k-1}; then the two buffers swap names
+        # degree k+1 = (2k+1+alpha-rho) H_k - k(k+alpha) H_{k-1}, written
+        # over H_{k-1}; then the two buffers swap names
         fp, fc, tmp, e = f_prev[i0:], f_cur[i0:], buf[i0:], expo[i0:]
         np.subtract(2.0 * k + 1.0 + alpha, rho[i0:], out=tmp)
         tmp *= fc
-        fp *= k + alpha
+        fp *= float(k * (k + alpha))
         np.subtract(tmp, fp, out=fp)
-        fp /= k + 1.0
         f_prev, f_cur = f_cur, f_prev
         fp, fc = fc, fp
         if k % stride:
             continue
-        # Rescale an entry when F_k or F_{k-1} exceeds 2^500: with checks
-        # stride steps apart, F_{k-1} can be large while F_k is not.  A row
+        # Rescale an entry when H_k or H_{k-1} exceeds 2^500: with checks
+        # stride steps apart, H_{k-1} can be large while H_k is not.  A row
         # that rescales every step instead (the test reference) ends with the
         # same bits: scaling both buffers by 2^-500 scales every later
-        # product, difference and quotient exactly, as nothing overflows
+        # product and difference exactly, as nothing overflows
         # (_check_stride) or goes subnormal (a checked row holds at most the
         # rescales of the every-step one, so its values are no smaller), and
-        # ldexp rounds the same real number the same way.  Only large |F|
+        # ldexp rounds the same real number the same way.  Only large |H|
         # is rescaled: a start mantissa lies in [1, 2) and a step is one
         # subtraction, 0 or >= one ulp of its larger operand, so two
-        # consecutive near-zero values cannot occur.
-        np.abs(fc, out=tmp)
-        np.maximum(tmp, np.abs(fp), out=tmp)
-        if tmp.max() > _RESCALE_UP:
-            big = tmp > _RESCALE_UP
+        # consecutive near-zero values cannot occur.  Deciding writes nothing.
+        if max(fc.max(), fp.max(), -fc.min(), -fp.min()) > _RESCALE_UP:
+            big = np.abs(fc, out=tmp) > _RESCALE_UP
+            big |= np.abs(fp, out=tmp) > _RESCALE_UP
             fc[big] *= _RESCALE_DOWN
             fp[big] *= _RESCALE_DOWN
             e[big] += _RESCALE_POW
@@ -215,15 +214,16 @@ def radial_table(params: PhysicalParams, n_min: int, n_max: int,
     """Tabulate R_{n,l} for n in [n_min, n_max] at the radii r (a quadrature
     grid's ``r``, a display axis or one radius), one row per n.
 
-    Runs the degree recurrence of the generalized Laguerre polynomials on the
-    weighted function
+    Runs the degree recurrence of the generalized Laguerre polynomials, in
+    the form for k! L_k^alpha, on the weighted function
 
-        F_k(rho) = N * exp(-rho/2) * rho^l * L_k^{2l+1}(rho),  rho = 2 Z r / n,
+        H_k(rho) = N/k_top! * exp(-rho/2) * rho^l * k! L_k^{2l+1}(rho),
 
-    which obeys the same recurrence because the weight is degree-independent,
-    for all rows at once, one block of _BLOCK_COLUMNS radii at a time.  Row n
-    stops after k_top = n - l - 1 steps; since the n ascend, the rows still
-    running at step k are a suffix [i0:] and a row freezes by advancing i0.
+    rho = 2 Z r / n, which obeys the same recurrence because the weight is
+    degree-independent, for all rows at once, one block of _BLOCK_COLUMNS
+    radii at a time.  Row n stops after k_top = n - l - 1 steps, at H =
+    R_{n,l}; since the n ascend, the rows still running at step k are a
+    suffix [i0:] and a row freezes by advancing i0.
     Each entry takes the arithmetic of a lone row up to exact power-of-two
     rescales, whose steps depend on the block, so a row's bits do not depend
     on which other n or r share its call.  The tests hold the Gram matrix

@@ -958,6 +958,18 @@ class TestBadInput:
         _, data = read_csv(out)
         assert np.all(np.isfinite(data))
 
+    def test_interrupt_exits_130_in_one_line(self, tmp_path, capsys,
+                                             monkeypatch):
+        # Ctrl-C while the command writes its file
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(rwp.cli, "write_csv", interrupted)
+        assert main(["energies", "--Z", "92",
+                     "--out", str(tmp_path / "e.csv")]) == 130
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "rwp: interrupted\n")
+
     def test_cli_subprocess_has_no_traceback(self, tmp_path):
         proc = run_cli(["-m", "rwp.cli", "carpet", "--Z", "92", "--samples", "0",
                         "--out", str(tmp_path / "c.pgm")])

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.special import eval_genlaguerre
 
 from rwp.core import PhysicalParams
@@ -22,15 +23,24 @@ def reference_radial(Z, n, l, r):
     return norm * np.exp(-rho / 2.0) * rho ** l * eval_genlaguerre(n - l - 1, 2 * l + 1, rho)
 
 
-# One radial row as the package had it before radial_table ran all n at once:
-# one row per call, checked for rescaling at every step.  The bit-for-bit
-# reference of the blocked recurrence, which checks every few steps.  A radius
+# One radial row per call, checked for rescaling at every step, in both
+# directions: the bit-for-bit reference of the blocked recurrence, which checks
+# every few steps and rescales only large values.  Both carry H_k = k! F_k,
+# whose step divides by nothing, with 1/k_top! in the start weight.  A radius
 # whose start weight lies below 2^(-2^40) gives +0.0, as in the package.
 _LN2 = math.log(2.0)
 _RESCALE_POW = 500
 _RESCALE_UP = 2.0 ** _RESCALE_POW
 _RESCALE_DOWN = 2.0 ** -_RESCALE_POW
 _LOG2W_MIN = -2.0 ** 40
+
+
+def ref_lognorm(Z: int, n: int, l: int) -> float:
+    """log of (2Z/n)^{3/2} / sqrt((n-l-1)! 2n (n+l)!): the normalization of
+    R_{n,l} times 1/k_top!, k_top = n-l-1."""
+    return (1.5 * math.log(2.0 * Z / n)
+            + 0.5 * (-math.lgamma(n - l) - math.log(2.0 * n)
+                     - math.lgamma(n + l + 1)))
 
 
 def ref_radial_eval(Z: int, n: int, l: int, r) -> np.ndarray:
@@ -42,9 +52,7 @@ def ref_radial_eval(Z: int, n: int, l: int, r) -> np.ndarray:
     with np.errstate(over="ignore"):
         rho = 2.0 * Z * r_arr / n
 
-    lognorm = (1.5 * math.log(2.0 * Z / n)
-               + 0.5 * (math.lgamma(n - l) - math.log(2.0 * n)
-                        - math.lgamma(n + l + 1)))
+    lognorm = ref_lognorm(Z, n, l)
     with np.errstate(divide="ignore", invalid="ignore"):
         logw = lognorm - 0.5 * rho + l * np.log(rho)
     if l == 0:
@@ -65,7 +73,7 @@ def ref_radial_eval(Z: int, n: int, l: int, r) -> np.ndarray:
         f_cur = mant * (1.0 + alpha - rho)
         for k in range(1, k_top):
             f_next = ((2.0 * k + 1.0 + alpha - rho) * f_cur
-                      - (k + alpha) * f_prev) / (k + 1.0)
+                      - float(k * (k + alpha)) * f_prev)
             f_prev, f_cur = f_cur, f_next
             big = np.abs(f_cur) > _RESCALE_UP
             if big.any():
@@ -81,6 +89,18 @@ def ref_radial_eval(Z: int, n: int, l: int, r) -> np.ndarray:
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(out[0])
     return out
+
+
+def mp_radial(Z, n, l, r):
+    """R_{n,l}(r) at 50 digits: factorial normalization times mpmath's
+    generalized Laguerre polynomial at the radius r as given (a double, so
+    exact), with no recurrence of the package's."""
+    with mp.workdps(50):
+        rho = 2 * Z * mp.mpf(float(r)) / n
+        norm = mp.sqrt((mp.mpf(2 * Z) / n) ** 3 * mp.factorial(n - l - 1)
+                       / (2 * n * mp.factorial(n + l)))
+        return float(norm * mp.exp(-rho / 2) * rho ** l
+                     * mp.laguerre(n - l - 1, 2 * l + 1, rho))
 
 
 def row(Z, n, l, r):
@@ -273,23 +293,46 @@ class TestRadialTable:
             assert np.array_equal(np.signbit(got[n - 2]), np.signbit(ref))
 
     def test_rescale_between_strided_checks(self):
-        # n = 1000 around the turning point: checks run 38 steps apart, and
+        # n = 1000 around the turning point: checks run 25 steps apart, and
         # R / 2^(start exponent) lies far past the double range, so the
         # recurrence must have rescaled at least twice
         Z, n, l = 1, 1000, 1
         r = np.linspace(1.6e6, 2.2e6, 301)
         rho = 2.0 * Z * r / n
-        assert _check_stride(n - l - 1, 2 * l + 1, rho.max()) == 38
+        assert _check_stride(n - l - 1, 2 * l + 1, rho.max()) == 25
         got = radial_table(PhysicalParams(Z=Z, l=l), n, n, r).values[0]
         ref = ref_radial_eval(Z, n, l, r)
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
-        lognorm = (1.5 * math.log(2.0 * Z / n)
-                   + 0.5 * (math.lgamma(n - l) - math.log(2.0 * n)
-                            - math.lgamma(n + l + 1)))
-        start = np.floor((lognorm - 0.5 * rho + l * np.log(rho)) / _LN2)
+        start = np.floor((ref_lognorm(Z, n, l) - 0.5 * rho
+                          + l * np.log(rho)) / _LN2)
         assert np.all(got != 0.0)
         assert np.all(np.log2(np.abs(got)) - start > 2 * 1024)
+
+    @pytest.mark.parametrize("Z, n_min, n_max, rows, bound, inner_bound", [
+        (92, 156, 200, (156, 178, 200), 1e-13, 1e-12),
+        (1, 390, 410, (390, 410), 1e-13, 5e-12),
+        (1, 960, 1000, (960, 1000), 5e-11, 5e-11)],
+        ids=["92-156-200", "1-390-410", "1-960-1000"])
+    def test_rows_against_mpmath(self, Z, n_min, n_max, rows, bound,
+                                 inner_bound):
+        # against 50-digit mpmath, as a fraction of the row's peak: 40 grid
+        # indices spread evenly from near the nucleus to the far tail, and
+        # 13 on the inner lobes (indices 1-49), where the peak lies.  There
+        # 2k+1+alpha-rho keeps only the high bits of a small rho, with or
+        # without the division by k+1 (the worst inner errors of the two
+        # forms differ by at most 1.5x: up to 3.4e-13, 2.1e-12, 1.1e-11)
+        p = PhysicalParams(Z=Z, l=1)
+        g = make_grid(p, n_max)
+        vals = radial_table(p, n_min, n_max, g.r).values
+        spread = np.linspace(50, DEFAULT_GRID_POINTS - 51, 40).astype(int)
+        inner = np.unique(np.geomspace(1, 49, 16).astype(int))
+        for n in rows:
+            got = vals[n - n_min]
+            peak = np.abs(got).max()
+            for idx, tol in ((spread, bound), (inner, inner_bound)):
+                ref = np.array([mp_radial(Z, n, 1, g.r[i]) for i in idx])
+                assert np.abs(got[idx] - ref).max() <= tol * peak
 
     def test_norms(self, u92, u92_grid, u92_table):
         for i in range(len(u92_table.n_range)):
