@@ -16,16 +16,15 @@ _EXPORTS = {
     "core": ("ATOMIC_TIME_SECONDS", "FINE_STRUCTURE_CONST", "EnergyTable",
              "PhysicalParams", "TimeScales", "energy_splitting",
              "energy_table", "reduced_energy", "time_scales"),
-    "errors": ("EmptyWindow", "InvalidGridSpec", "InvalidRange",
-               "InvalidQuantumNumbers", "LengthMismatch",
+    "errors": ("InvalidGridSpec", "InvalidRange", "InvalidQuantumNumbers",
                "NonNormalizedSpinor", "RangeMismatch", "RwpError",
                "SupercriticalCharge"),
-    "observables": ("ObservableSeries", "densities", "detect_revivals",
-                    "observable_series", "spin_expectations"),
+    "observables": ("ObservableSeries", "densities", "observable_series",
+                    "spin_expectations"),
     "packet": ("N_LIMIT", "Packet", "PacketSpec", "SpinorAmplitudes",
                "amplitudes_at", "build_packet", "truncation_bounds"),
-    "radial": ("RadialGrid", "RadialTable", "inner_product", "make_grid",
-               "outer_radius", "radial_table"),
+    "radial": ("RadialGrid", "RadialTable", "make_grid", "outer_radius",
+               "radial_table"),
 }
 _SUBMODULE_OF = {name: module
                  for module, names in _EXPORTS.items() for name in names}

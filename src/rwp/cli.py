@@ -10,7 +10,7 @@ presets, may set any setting, so one file can serve several commands.
 
 Exit status: 0 success, 1 domain error (bad physics input, a non-finite or
 out-of-range setting, an output file that cannot be written, an array too
-large to allocate), 2 usage error.
+large to allocate), 2 usage error, 130 interrupted.
 
 Imported before numpy, this module runs OpenBLAS on one thread unless
 ``OPENBLAS_NUM_THREADS`` is set (see the comment above ``import numpy``).
@@ -56,6 +56,11 @@ try:
     from .packet import N_LIMIT, PacketSpec, build_packet, truncation_bounds
     from .radial import (DEFAULT_GRID_POINTS, make_grid, outer_radius,
                          radial_table)
+except KeyboardInterrupt:  # Ctrl-C before main() runs: exit as main() would
+    if __name__ != "__main__":
+        raise
+    print("rwp: interrupted", file=sys.stderr)
+    sys.exit(130)
 finally:
     if _GC_WAS_ENABLED:
         gc.enable()
@@ -424,16 +429,15 @@ def write_pgm(path: str, pixels: np.ndarray):
                             and all(np.array_equal(b, b.astype(np.intp))
                                     for b in blocks)):
         raise RwpError(f"{path}: pixels must be integers in 0..255")
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{width} {height}\n255\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P2\n{width} {height}\n255\n".encode())
         if width == 0:
-            fh.write("\n" * height)
+            fh.write(b"\n" * height)
             return
         for block in blocks:
             idx = block.astype(np.intp)
             idx[:, -1] += 256
-            fh.write(_PIXEL_WORDS[idx].tobytes().translate(None, b"\0")
-                     .decode("ascii"))
+            fh.write(_PIXEL_WORDS[idx].tobytes().translate(None, b"\0"))
 
 
 COMMANDS = {}  # subcommand -> its cmd_* function; a tracer may rebind values

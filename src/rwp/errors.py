@@ -17,10 +17,6 @@ class InvalidGridSpec(RwpError):
     """Radial grid request incompatible with composite Simpson quadrature."""
 
 
-class LengthMismatch(RwpError):
-    """Sample arrays do not match the quadrature grid length."""
-
-
 class NonNormalizedSpinor(RwpError):
     """|a|^2 + |b|^2 deviates from 1 beyond tolerance."""
 
@@ -32,7 +28,3 @@ class InvalidRange(RwpError):
 class RangeMismatch(RwpError):
     """Energy or radial table does not cover the packet's n range, or has
     another l or Z."""
-
-
-class EmptyWindow(RwpError):
-    """Peak-detection window contains no samples."""

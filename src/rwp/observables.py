@@ -1,11 +1,11 @@
 """Measurable quantities of the evolving packet.
 
-Component densities, the autocorrelation function, spin expectation values,
-component norms and revival-peak detection.  Every observable is built from
-the phase pair (e_+, beat) of ``packet._phases``: the scalar ones as closed
-forms in w_n^2 and the spin beat (``observable_series``), the densities from
-two phase sums over the radial table (``densities``).  The channel amplitudes
-of ``amplitudes_at``, with ``spin_expectations`` on them, are their oracle in
+Component densities, the autocorrelation function, spin expectation values
+and component norms.  Every observable is built from the phase pair
+(e_+, beat) of ``packet._phases``: the scalar ones as closed forms in w_n^2
+and the spin beat (``observable_series``), the densities from two phase sums
+over the radial table (``densities``).  The channel amplitudes of
+``amplitudes_at``, with ``spin_expectations`` on them, are their oracle in
 the tests.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EnergyTable
-from .errors import EmptyWindow, RangeMismatch
+from .errors import RangeMismatch
 from .packet import Packet, SpinorAmplitudes, _phases
 from .radial import RadialTable
 
@@ -159,37 +159,3 @@ def observable_series(packet: Packet, energies: EnergyTable,
     slen = np.sqrt(sx ** 2 + sy ** 2 + sz ** 2)
     return ObservableSeries(t=times, A=A, asq=np.abs(A) ** 2, sx=sx, sy=sy,
                             sz=sz, slen=slen, N1=1.0 - n2, N2=n2)
-
-
-def detect_revivals(t, values, window=None, prominence: float = 0.1):
-    """Local maxima of a sampled series, refined by parabolic interpolation.
-
-    Returns a list of (peak_time, peak_value) for maxima whose prominence
-    exceeds the threshold, restricted to the (t_lo, t_hi) window when given.
-    """
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if window is not None:
-        t_lo, t_hi = window
-        mask = (t >= t_lo) & (t <= t_hi)
-        if not mask.any():
-            raise EmptyWindow(f"no samples in window ({t_lo}, {t_hi})")
-        t = t[mask]
-        values = values[mask]
-    if len(t) < 3:
-        return []
-    from scipy.signal import find_peaks  # slow import, kept off the CLI path
-    idx, _ = find_peaks(values, prominence=prominence)
-    peaks = []
-    for i in idx:
-        y0, y1, y2 = values[i - 1], values[i], values[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom != 0.0:
-            shift = 0.5 * (y0 - y2) / denom
-            dt = t[i + 1] - t[i]
-            t_peak = t[i] + shift * dt
-            y_peak = y1 - 0.25 * (y0 - y2) * shift
-        else:
-            t_peak, y_peak = t[i], y1
-        peaks.append((float(t_peak), float(y_peak)))
-    return peaks

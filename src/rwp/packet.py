@@ -84,10 +84,6 @@ class SpinorAmplitudes:
     c2: np.ndarray
     l: int
 
-    def per_n_norm(self) -> np.ndarray:
-        return (np.abs(self.c1) ** 2 + np.abs(self.d1) ** 2
-                + np.abs(self.c2) ** 2)
-
 
 def truncation_bounds(spec: PacketSpec, l: int) -> tuple[int, int]:
     """(n_min, n_max) of the packet: the spec's bounds where given, else

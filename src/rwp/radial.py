@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysicalParams
-from .errors import InvalidGridSpec, InvalidQuantumNumbers, LengthMismatch
+from .errors import InvalidGridSpec, InvalidQuantumNumbers
 
 _LN2 = math.log(2.0)
 # Simpson points in x on the mapped grid; 2001 already hold the Gram matrix of
@@ -68,9 +68,6 @@ class RadialGrid:
     @property
     def r_max(self) -> float:
         return float(self.r[-1])
-
-    def __len__(self):
-        return len(self.r)
 
 
 @dataclass(frozen=True)
@@ -255,14 +252,3 @@ def radial_table(params: PhysicalParams, n_min: int, n_max: int,
             rho = 2.0 * Z * r[cols] / nf
         out[:, cols] = _recurrence(rho, lognorm, l, k_top)
     return RadialTable(values=out, r=r, n_range=ns, l=l, Z=Z)
-
-
-def inner_product(f, g, grid: RadialGrid) -> float:
-    """Composite-Simpson value of the radial integral  int f g r^2 dr."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if len(f) != len(grid) or len(g) != len(grid):
-        raise LengthMismatch(
-            f"sample lengths {len(f)}, {len(g)} vs grid {len(grid)}"
-        )
-    return float(np.sum(grid.quad_w * f * g * grid.r ** 2))

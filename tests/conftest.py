@@ -1,15 +1,18 @@
-"""Shared fixtures and extended-precision oracles."""
+"""Shared fixtures, extended-precision oracles and test-only helpers."""
 
 import math
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf, sqrt as mpsqrt
+from scipy.signal import find_peaks
 
 from rwp.core import (FINE_STRUCTURE_CONST, PhysicalParams, energy_table,
                       time_scales)
-from rwp.packet import PacketSpec, amplitudes_at, build_packet
-from rwp.radial import make_grid, radial_table
+from rwp.errors import RwpError
+from rwp.packet import (PacketSpec, SpinorAmplitudes, amplitudes_at,
+                        build_packet)
+from rwp.radial import RadialGrid, make_grid, radial_table
 
 
 def eps_mp(Z, n, j, alpha=FINE_STRUCTURE_CONST, l=None, dps=60):
@@ -44,6 +47,64 @@ def amplitude_densities(packet, energies, table, times):
     return (r2 * (np.abs(amps.c1 @ rows) ** 2 + np.abs(amps.d1 @ rows) ** 2),
             r2 * np.abs(amps.c2 @ rows) ** 2)
 
+
+
+class LengthMismatch(RwpError):
+    """Sample arrays do not match the quadrature grid length."""
+
+
+class EmptyWindow(RwpError):
+    """Peak-detection window contains no samples."""
+
+
+def per_n_norm(amps: SpinorAmplitudes) -> np.ndarray:
+    """|c1|^2 + |d1|^2 + |c2|^2 per n (and per time on a time axis)."""
+    return (np.abs(amps.c1) ** 2 + np.abs(amps.d1) ** 2
+            + np.abs(amps.c2) ** 2)
+
+
+def inner_product(f, g, grid: RadialGrid) -> float:
+    """Composite-Simpson value of the radial integral  int f g r^2 dr."""
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if len(f) != len(grid.r) or len(g) != len(grid.r):
+        raise LengthMismatch(
+            f"sample lengths {len(f)}, {len(g)} vs grid {len(grid.r)}"
+        )
+    return float(np.sum(grid.quad_w * f * g * grid.r ** 2))
+
+
+def detect_revivals(t, values, window=None, prominence: float = 0.1):
+    """Local maxima of a sampled series, refined by parabolic interpolation.
+
+    Returns a list of (peak_time, peak_value) for maxima whose prominence
+    exceeds the threshold, restricted to the (t_lo, t_hi) window when given.
+    """
+    t = np.asarray(t, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if window is not None:
+        t_lo, t_hi = window
+        mask = (t >= t_lo) & (t <= t_hi)
+        if not mask.any():
+            raise EmptyWindow(f"no samples in window ({t_lo}, {t_hi})")
+        t = t[mask]
+        values = values[mask]
+    if len(t) < 3:
+        return []
+    idx, _ = find_peaks(values, prominence=prominence)
+    peaks = []
+    for i in idx:
+        y0, y1, y2 = values[i - 1], values[i], values[i + 1]
+        denom = y0 - 2.0 * y1 + y2
+        if denom != 0.0:
+            shift = 0.5 * (y0 - y2) / denom
+            dt = t[i + 1] - t[i]
+            t_peak = t[i] + shift * dt
+            y_peak = y1 - 0.25 * (y0 - y2) * shift
+        else:
+            t_peak, y_peak = t[i], y1
+        peaks.append((float(t_peak), float(y_peak)))
+    return peaks
 
 @pytest.fixture(scope="session")
 def u92():

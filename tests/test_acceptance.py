@@ -9,10 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import detect_revivals, per_n_norm
 from rwp.core import (PhysicalParams, energy_splitting, energy_table,
                       time_scales)
-from rwp.observables import (densities, detect_revivals, observable_series,
-                             spin_expectations)
+from rwp.observables import densities, observable_series, spin_expectations
 from rwp.packet import PacketSpec, amplitudes_at, build_packet
 from rwp.radial import make_grid, radial_table
 
@@ -185,7 +185,7 @@ def test_criterion_10_property_suite():
 
     # per-n unitarity at 200 random times
     w2 = packet.weights ** 2
-    dev = max(float(np.abs(amplitudes_at(packet, energies, t).per_n_norm()
+    dev = max(float(np.abs(per_n_norm(amplitudes_at(packet, energies, t))
                            - w2).max())
               for t in rng.uniform(0.0, 1e6, size=200))
     checks.append(("per-n unitarity", dev < 1e-13, dev))

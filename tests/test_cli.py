@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, presets, config precedence, formats."""
 
+import ast
 import contextlib
 import csv
 import gc
@@ -7,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -34,14 +36,24 @@ from rwp.radial import DEFAULT_GRID_POINTS, outer_radius, radial_table
 
 def run_cli(args, **env):
     """Run the CLI in a fresh interpreter with extra environment variables;
-    a variable given as None is removed from the inherited environment."""
+    a variable given as None is removed from the inherited environment.  A
+    PYTHONPATH given goes first, before the package and the inherited path."""
     src = str(Path(rwp.__file__).resolve().parents[1])
     full_env = {key: value for key, value in dict(os.environ, **env).items()
                 if value is not None}
     full_env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))
+        filter(None, [env.get("PYTHONPATH"), src,
+                      os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=full_env,
                           capture_output=True, text=True, timeout=120)
+
+
+def fake_package(root, name, body):
+    """A directory that holds a package ``name`` whose __init__ is body;
+    put first on PYTHONPATH, it shadows the installed package."""
+    (root / name).mkdir(parents=True)
+    (root / name / "__init__.py").write_text(body + "\n")
+    return str(root)
 
 
 # Per-value writers as the package had them before the table-driven ones:
@@ -511,11 +523,44 @@ class TestDeterminism:
 
 
 class TestStartup:
-    def test_cli_import_skips_scipy_signal(self):
+    def test_cli_import_skips_scipy_signal(self, tmp_path):
         proc = run_cli(["-c", "import sys, rwp.cli; "
                               "print('scipy.signal' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+        # energies and every figure run with scipy unimportable
+        no_scipy = fake_package(tmp_path / "fake", "scipy",
+                                "raise ImportError('scipy is hidden')")
+        for command, figure in [("energies", None), ("density", 1),
+                                ("observables", 2), ("timescales", 3),
+                                ("observables", 4), ("density", 5),
+                                ("carpet", 6)]:
+            args = (["--Z", "92"] if figure is None
+                    else ["--figure", str(figure)])
+            out = tmp_path / f"{command}_{figure}.csv"
+            proc = run_cli(["-m", "rwp.cli", command, *args,
+                            "--out", str(out)], PYTHONPATH=no_scipy)
+            assert proc.returncode == 0, (command, figure, proc.stderr)
+            assert proc.stdout and proc.stderr == ""
+
+    def test_runtime_imports_are_the_declared_dependencies(self):
+        # the top-level modules that src/rwp imports, beyond the standard
+        # library and rwp itself, are exactly [project].dependencies
+        tomllib = pytest.importorskip("tomllib")
+        package = Path(rwp.__file__).resolve().parent
+        imported = set()
+        for source in package.glob("*.py"):
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, ast.Import):
+                    imported |= {a.name.split(".")[0] for a in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        imported -= set(sys.stdlib_module_names) | {"rwp"}
+        with open(package.parents[1] / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group()
+                    for dep in project["dependencies"]}
+        assert imported == declared
 
     def test_package_import_skips_numpy(self):
         proc = run_cli(["-c", "import sys, rwp; "
@@ -969,6 +1014,17 @@ class TestBadInput:
                      "--out", str(tmp_path / "e.csv")]) == 130
         out, err = capsys.readouterr()
         assert (out, err) == ("", "rwp: interrupted\n")
+
+    def test_interrupt_during_startup_exits_130_in_one_line(self, tmp_path):
+        # Ctrl-C while the program imports numpy, before main() runs
+        interrupted = fake_package(tmp_path / "fake", "numpy",
+                                   "raise KeyboardInterrupt")
+        out = tmp_path / "e.csv"
+        proc = run_cli(["-m", "rwp.cli", "energies", "--Z", "92",
+                        "--out", str(out)], PYTHONPATH=interrupted)
+        assert proc.returncode == 130
+        assert (proc.stdout, proc.stderr) == ("", "rwp: interrupted\n")
+        assert not out.exists()
 
     def test_cli_subprocess_has_no_traceback(self, tmp_path):
         proc = run_cli(["-m", "rwp.cli", "carpet", "--Z", "92", "--samples", "0",

