@@ -1,6 +1,8 @@
 """Shared fixtures, extended-precision oracles and test-only helpers."""
 
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +107,23 @@ def detect_revivals(t, values, window=None, prominence: float = 0.1):
             t_peak, y_peak = t[i], y1
         peaks.append((float(t_peak), float(y_peak)))
     return peaks
+
+
+def readme_block(heading, language):
+    """The first ``language`` code block under the README's ``heading``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def readme_cli_examples():
+    """argv of each ``rwp`` line in the README's "CLI usage" code block,
+    continuation lines joined."""
+    block = readme_block("CLI usage", "sh")
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("rwp ")]
+
 
 @pytest.fixture(scope="session")
 def u92():

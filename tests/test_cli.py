@@ -9,7 +9,6 @@ import json
 import math
 import os
 import re
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -24,6 +23,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import rwp
+from conftest import readme_block, readme_cli_examples
 from rwp.cli import (_CSV_BLOCK_VALUES, _FLAGS, _g17_digits, build_parser,
                      main, write_csv, write_pgm)
 from rwp.core import (ATOMIC_TIME_SECONDS, PhysicalParams, energy_table,
@@ -424,22 +424,6 @@ class TestFlagSets:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-
-def readme_block(heading, language):
-    """The first ``language`` code block under the README's ``heading``."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text().split(f"## {heading}\n", 1)[1]
-    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
-
-
-def readme_cli_examples():
-    """argv of each ``rwp`` line in the README's "CLI usage" code block,
-    continuation lines joined."""
-    block = readme_block("CLI usage", "sh")
-    return [shlex.split(line)[1:]
-            for line in block.replace("\\\n", " ").splitlines()
-            if line.startswith("rwp ")]
 
 
 class TestReadme:
