@@ -35,22 +35,11 @@ from dataclasses import dataclass, replace
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# The imports below add about 12,000 long-lived objects that the cyclic GC
-# tracks, and it walks them again and again: in the passes that the imports
-# trigger, and in the full pass at exit.  So the collector is off
-# while they load (and back on only if it was on), and main() freezes them
-# when it runs as the program.  CPU of "python -c 'import rwp.cli'", median
-# of 21 (2-core x86-64): 0.275 s as it was; 0.276 s with the collector off
-# for the imports alone; 0.251 s with gc.freeze() after them; 0.248 s with
-# both; 0.231 s with os._exit, which skips finalization altogether.
-_GC_WAS_ENABLED = gc.isenabled()
-gc.disable()
 try:
     import numpy as np
 
     from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST,
-                       PhysicalParams, energy_table, t_ls_lowest_order,
-                       time_scales)
+                       PhysicalParams, energy_table, time_scales)
     from .errors import InvalidRange, RwpError
     from .observables import densities, observable_series
     from .packet import N_LIMIT, PacketSpec, build_packet, truncation_bounds
@@ -61,9 +50,6 @@ except KeyboardInterrupt:  # Ctrl-C before main() runs: exit as main() would
         raise
     print("rwp: interrupted", file=sys.stderr)
     sys.exit(130)
-finally:
-    if _GC_WAS_ENABLED:
-        gc.enable()
 
 # entry v holds the ASCII of "v ", entry 256 + v that of "v\n", NUL-padded to
 # 4 bytes; built from bytes, so tobytes() gives them back on any endianness
@@ -484,14 +470,11 @@ def cmd_timescales(cfg: RunConfig) -> list:
     n_values = range(cfg.scan[0], cfg.scan[1] + 1) if cfg.scan else [cfg.n_av]
     factor, unit = (1.0, "au") if cfg.au else (ATOMIC_TIME_SECONDS, "s")
     scales = [time_scales(params, n_av) for n_av in n_values]
-    header = ["n_av"] + [f"T_{key}_{unit}" for key in ("cl", "rev", "ls", "ls2")]
+    keys = ["cl", "rev", "ls", "ls2"] + ["ls_approx"] * cfg.with_approx
+    header = ["n_av"] + [f"T_{key}_{unit}" for key in keys]
     columns = [np.array(n_values, dtype=float)] + [
         np.array([getattr(s, f"t_{key}") * factor for s in scales])
-        for key in ("cl", "rev", "ls", "ls2")]
-    if cfg.with_approx:
-        header.append(f"T_ls_approx_{unit}")
-        columns.append(np.array([t_ls_lowest_order(params, n_av) * factor
-                                 for n_av in n_values]))
+        for key in keys]
     path = _out_path(cfg, "rwp_timescales.csv")
     write_csv(path, header, columns)
     return [path]
@@ -600,6 +583,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The imports leave about 12,000 long-lived objects that the cyclic GC
+    # would walk at every pass and at exit; frozen, it skips them.  CPU of
+    # "python -c 'import rwp.cli'", median of 21 (2-core x86-64): 0.275 s,
+    # 0.251 s frozen, 0.231 s with os._exit (which skips finalization).
     if argv is None:  # the program itself: no caller's objects to keep in view
         gc.freeze()
     parser = build_parser()

@@ -1,4 +1,6 @@
-"""Dirac-Coulomb energy levels, fine-structure splittings and time scales.
+"""Dirac-Coulomb energy levels, fine-structure splittings and time scales:
+T_cl and T_rev from the first and second derivatives of E in n, T_ls from
+the exact splitting and its lowest-order estimate from T_cl.
 
 Hartree atomic units throughout (hbar = m_e = e = 1, c = 1/alpha), so the
 rest energy is m0*c^2 = alpha**-2 hartree.  All energies returned here are
@@ -80,9 +82,9 @@ class TimeScales:
 
     t_cl: float
     t_rev: float
-    t_super: float
     t_ls: float
     t_ls2: float
+    t_ls_approx: float
 
 
 def reduced_energy(Z: int, n, j: float, alpha: float = FINE_STRUCTURE_CONST):
@@ -156,13 +158,12 @@ def energy_table(params: PhysicalParams, n_min: int, n_max: int) -> EnergyTable:
 
 
 def energy_derivatives(params: PhysicalParams, n: float):
-    """(dE/dn, d2E/dn2, d3E/dn3) treating n as continuous on the j = l+1/2
-    branch.
+    """(dE/dn, d2E/dn2) treating n as continuous on the j = l+1/2 branch.
 
     n enters E only through D (dD/dn = 1), so with v = y/D^2:
 
         E = m0*c^2 (1+v)^(-1/2),
-        v'  = -2 y / D^3,   v'' = 6 y / D^4,   v''' = -24 y / D^5,
+        v'  = -2 y / D^3,   v'' = 6 y / D^4,
 
     and the chain rule gives closed forms that need no cancellation care
     (each derivative is already O(alpha^0) or smaller).
@@ -175,37 +176,25 @@ def energy_derivatives(params: PhysicalParams, n: float):
     u = 1.0 + y / (d * d)
     vp = -2.0 * y / d ** 3
     vpp = 6.0 * y / d ** 4
-    vppp = -24.0 * y / d ** 5
     e1 = -0.5 * c * u ** -1.5 * vp
     e2 = c * (0.75 * u ** -2.5 * vp * vp - 0.5 * u ** -1.5 * vpp)
-    e3 = c * (-1.875 * u ** -3.5 * vp ** 3
-              + 2.25 * u ** -2.5 * vp * vpp
-              - 0.5 * u ** -1.5 * vppp)
-    return e1, e2, e3
+    return e1, e2
 
 
 def time_scales(params: PhysicalParams, n_av: int) -> TimeScales:
     """All characteristic times of a packet centered at n_av, in atomic units.
 
     T_k = 2*pi*hbar / |(1/k!) d^k E/dn^k| on the j = l+1/2 branch at n_av:
-    k=1 is the classical Kepler period, k=2 the revival time, k=3 the
-    super-revival scale.  T_ls = 2*pi*hbar / |eps_plus - eps_minus| is the
-    spin-orbit period and T_ls2 = (2/3) n_av T_ls the spin-revival scale; the
-    spin revives near half of it.
+    k=1 is the classical Kepler period, k=2 the revival time.
+    T_ls = 2*pi*hbar / |eps_plus - eps_minus| is the spin-orbit period and
+    T_ls2 = (2/3) n_av T_ls the spin-revival scale; the spin revives near half
+    of it.  T_ls_approx = 2 l (l+1) / (Z alpha)^2 * T_cl is the lowest-order
+    estimate of T_ls; at large Z*alpha the two differ noticeably.
     """
     t_ls = 2.0 * math.pi / abs(energy_splitting(params, n_av))
-    derivs = energy_derivatives(params, float(n_av))
-    t_cl, t_rev, t_super = (2.0 * math.pi / (abs(e_k) / math.factorial(k))
-                            for k, e_k in enumerate(derivs, 1))
-    return TimeScales(t_cl=t_cl, t_rev=t_rev, t_super=t_super, t_ls=t_ls,
-                      t_ls2=(2.0 / 3.0) * n_av * t_ls)
-
-
-def t_ls_lowest_order(params: PhysicalParams, n_av: int) -> float:
-    """Leading-order spin-orbit period 2 l (l+1) / (Z alpha)^2 * T_cl.
-
-    Kept alongside the exact splitting for comparison; at large Z*alpha the
-    two differ noticeably.
-    """
-    t_cl = time_scales(params, n_av).t_cl
-    return 2.0 * params.l * (params.l + 1) / params.z_alpha_sq * t_cl
+    t_cl, t_rev = (2.0 * math.pi / (abs(e_k) / math.factorial(k))
+                   for k, e_k in enumerate(
+                       energy_derivatives(params, float(n_av)), 1))
+    return TimeScales(
+        t_cl=t_cl, t_rev=t_rev, t_ls=t_ls, t_ls2=(2.0 / 3.0) * n_av * t_ls,
+        t_ls_approx=2.0 * params.l * (params.l + 1) / params.z_alpha_sq * t_cl)
