@@ -48,6 +48,11 @@ def run_cli(args, **env):
                           capture_output=True, text=True, timeout=120)
 
 
+# what the installed rwp script runs, with the command line after it
+CONSOLE_SCRIPT = ["-c", "import sys; from rwp.__main__ import main; "
+                        "sys.exit(main())"]
+
+
 def fake_package(root, name, body):
     """A directory that holds a package ``name`` whose __init__ is body;
     put first on PYTHONPATH, it shadows the installed package."""
@@ -267,6 +272,14 @@ class TestCarpet:
               "--grid-points", "501", "--out", str(out)])
         text = (tmp_path / "c_rho1.pgm").read_text()
         assert text.startswith("P2\n501 10\n255\n")
+
+    def test_one_sample_is_one_row(self, tmp_path, capsys):
+        out = tmp_path / "c.pgm"
+        assert main(["carpet", "--Z", "92", "--samples", "1",
+                     "--grid-points", "501", "--out", str(out)]) == 0
+        for name in ("c_rho1.pgm", "c_rho2.pgm"):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[:3] == ["P2", "501 1", "255"] and len(lines) == 4
 
     def test_joint_normalization_and_black_row(self, tmp_path):
         out = tmp_path / "c.pgm"
@@ -551,6 +564,25 @@ class TestStartup:
                               "print('numpy' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_entry_module_import_skips_numpy(self):
+        proc = run_cli(["-c", "import sys, rwp.__main__; "
+                              "print('numpy' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_console_script_is_the_entry_function(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(rwp.__file__).resolve().parents[2]
+        with open(root / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"rwp": "rwp.__main__:main"}
+        out = tmp_path / "e.csv"
+        for launch in (["-m", "rwp"], CONSOLE_SCRIPT):
+            proc = run_cli([*launch, "energies", "--Z", "92",
+                            "--out", str(out)])
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                0, f"{out}\n", ""), launch
 
     @pytest.mark.parametrize("code, inherited, expected", [
         ("import os, rwp.cli", None, "1"),
@@ -1000,15 +1032,18 @@ class TestBadInput:
         assert (out, err) == ("", "rwp: interrupted\n")
 
     def test_interrupt_during_startup_exits_130_in_one_line(self, tmp_path):
-        # Ctrl-C while the program imports numpy, before main() runs
+        # Ctrl-C while the program imports numpy, before main() runs: as
+        # python -m rwp.cli, as python -m rwp and as the console script,
+        # which calls rwp.__main__.main()
         interrupted = fake_package(tmp_path / "fake", "numpy",
                                    "raise KeyboardInterrupt")
         out = tmp_path / "e.csv"
-        proc = run_cli(["-m", "rwp.cli", "energies", "--Z", "92",
-                        "--out", str(out)], PYTHONPATH=interrupted)
-        assert proc.returncode == 130
-        assert (proc.stdout, proc.stderr) == ("", "rwp: interrupted\n")
-        assert not out.exists()
+        for launch in (["-m", "rwp.cli"], ["-m", "rwp"], CONSOLE_SCRIPT):
+            proc = run_cli([*launch, "energies", "--Z", "92",
+                            "--out", str(out)], PYTHONPATH=interrupted)
+            assert proc.returncode == 130, launch
+            assert (proc.stdout, proc.stderr) == ("", "rwp: interrupted\n")
+            assert not out.exists()
 
     def test_cli_subprocess_has_no_traceback(self, tmp_path):
         proc = run_cli(["-m", "rwp.cli", "carpet", "--Z", "92", "--samples", "0",

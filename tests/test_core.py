@@ -55,6 +55,9 @@ class TestDiracEnergy:
         with pytest.raises(SupercriticalCharge):
             PhysicalParams(Z=138, l=1)
 
+    def test_default_l_is_p_wave(self):
+        assert PhysicalParams(Z=92).l == 1
+
 
 class TestEnergyTable:
     def test_fine_structure_splitting_z1(self):

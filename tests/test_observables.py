@@ -111,6 +111,22 @@ class TestDensities:
         with pytest.raises(RangeMismatch, match="l=2"):
             densities(packet, energies, table, [0.0])
 
+    def test_wider_energy_table_changes_nothing(self, down, u92_grid):
+        # a table that reaches past the packet on both sides gives the same
+        # bits as the exact one: each n takes its own row
+        packet, energies = down
+        wide = energy_table(energies.params, packet.n_min - 2,
+                            packet.n_max + 3)
+        table = radial_table(energies.params, packet.n_min, packet.n_max,
+                             u92_grid.r[::10])
+        t = np.linspace(0.0, 1e6, 7)
+        for got, want in zip(
+                [*densities(packet, wide, table, t),
+                 *dataclasses.astuple(observable_series(packet, wide, t))],
+                [*densities(packet, energies, table, t),
+                 *dataclasses.astuple(observable_series(packet, energies, t))]):
+            assert np.array_equal(got, want)
+
     def test_z_mismatch(self, down, u92_grid):
         # a Z = 50 table under Z = 92 energies would give quadrature norms
         # far from 1 instead of an error

@@ -67,6 +67,11 @@ class TestBuildPacket:
             build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.0, b=1.0,
                                     n_min=85, n_max=90), 1)
 
+    def test_n_min_below_l_plus_one(self):
+        # rejected by build_packet itself, before any energy table is built
+        with pytest.raises(InvalidRange, match="l\\+1 <= n_min"):
+            build_packet(PacketSpec(n_av=5, sigma=1.0, n_min=1), 1)
+
     @pytest.mark.parametrize("spec, bounds", [
         # round(1000.5) = 1000: the rounded bound is what counts
         (PacketSpec(n_av=N_LIMIT - 10, sigma=2.1), (N_LIMIT - 20, N_LIMIT)),

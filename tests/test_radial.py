@@ -124,6 +124,11 @@ class TestGrid:
         assert g.r_max == pytest.approx((2 * 79 + 40) * 79 / 92)
         assert outer_radius(PhysicalParams(Z=92, l=1), 80) == 2.5 * 80 ** 2 / 92
 
+    def test_outer_radius_needs_n_above_l(self):
+        with pytest.raises(InvalidQuantumNumbers):
+            outer_radius(PhysicalParams(Z=92), 1)
+        assert outer_radius(PhysicalParams(Z=92), 2) == 44 * 2 / 92
+
     def test_weights_integrate_constant(self):
         g = make_grid(PhysicalParams(Z=1, l=1), 50, 1001)
         assert np.sum(g.quad_w) == pytest.approx(g.r_max, rel=1e-12)
