@@ -192,9 +192,9 @@ def time_scales(params: PhysicalParams, n_av: int) -> TimeScales:
     estimate of T_ls; at large Z*alpha the two differ noticeably.
     """
     t_ls = 2.0 * math.pi / abs(energy_splitting(params, n_av))
-    t_cl, t_rev = (2.0 * math.pi / (abs(e_k) / math.factorial(k))
-                   for k, e_k in enumerate(
-                       energy_derivatives(params, float(n_av)), 1))
+    e1, e2 = energy_derivatives(params, float(n_av))
+    t_cl = 2.0 * math.pi / abs(e1)
+    t_rev = 2.0 * math.pi / (abs(e2) / 2.0)
     return TimeScales(
         t_cl=t_cl, t_rev=t_rev, t_ls=t_ls, t_ls2=(2.0 / 3.0) * n_av * t_ls,
         t_ls_approx=2.0 * params.l * (params.l + 1) / params.z_alpha_sq * t_cl)

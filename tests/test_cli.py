@@ -560,13 +560,8 @@ class TestStartup:
         assert imported == declared
 
     def test_package_import_skips_numpy(self):
-        proc = run_cli(["-c", "import sys, rwp; "
-                              "print('numpy' in sys.modules)"])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
-    def test_entry_module_import_skips_numpy(self):
-        proc = run_cli(["-c", "import sys, rwp.__main__; "
+        # the package and the console script's entry module alike
+        proc = run_cli(["-c", "import sys, rwp, rwp.__main__; "
                               "print('numpy' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"

@@ -66,9 +66,8 @@ class TestBuildPacket:
         with pytest.raises(InvalidRange):
             build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.0, b=1.0,
                                     n_min=85, n_max=90), 1)
-
-    def test_n_min_below_l_plus_one(self):
-        # rejected by build_packet itself, before any energy table is built
+        # n_min below l+1: rejected by build_packet itself, not later by
+        # energy_table
         with pytest.raises(InvalidRange, match="l\\+1 <= n_min"):
             build_packet(PacketSpec(n_av=5, sigma=1.0, n_min=1), 1)
 
