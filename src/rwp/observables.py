@@ -21,12 +21,12 @@ from .packet import Packet, SpinorAmplitudes, _phases
 from .radial import RadialTable
 
 # Entries (times x radii) per time block of the projection, so that a
-# block's three block x R temporaries stay in cache.  densities at 201 times
-# x 5001 radii, best of 9 (2-core x86-64, AVX-512, 4 MB L2), in seconds and
+# block's six block x R temporaries stay in cache.  densities at 201 times
+# x 5001 radii, best of 15 (2-core x86-64, AVX-512, 4 MB L2), in seconds and
 # traced peak MB:
-# one time per block (5001): 0.051/16.3, 16384: 0.047/16.5, 32768:
-# 0.047/16.9, 65536: 0.048/17.7, 131072: 0.051/19.3, 262144: 0.062/22.5,
-# one block of 201 times: 0.076/40.6.
+# one time per block (5001): 0.052/16.6, 16384: 0.045/17.4, 32768:
+# 0.045/18.6, 65536: 0.050/21.4, 131072: 0.053/26.6, 262144: 0.056/37.1,
+# one block of 201 times: 0.064/64.7.
 _BLOCK_ELEMENTS = 32768
 
 
@@ -62,8 +62,8 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
     The sums over n run through einsum on the real and imaginary parts, not
     through BLAS, so no byte depends on the BLAS thread count or on which
     other times share the call.  The times run in blocks of about
-    _BLOCK_ELEMENTS / R, each with its own phases, so besides the two outputs
-    only three block x R temporaries are live at once.
+    _BLOCK_ELEMENTS / R, each with its own phases and one einsum, so besides
+    the two outputs only six block x R temporaries are live at once.
     """
     lo, hi = int(table.n_range[0]), int(table.n_range[-1])
     if lo > packet.n_min or hi < packet.n_max:
@@ -83,8 +83,8 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
     flip = abs(b) ** 2 * 2 * l / (2 * l + 1) ** 2  # of |P_+ - P_-|^2
     r2 = table.r ** 2
     scale2 = abs(b) ** 2 / (2 * l + 1) ** 2 * r2
-    rho1 = np.zeros((len(flat), len(table.r)))
-    rho2 = np.zeros_like(rho1)
+    rho1 = np.empty((len(flat), len(table.r)))
+    rho2 = np.empty_like(rho1)
     step = max(1, _BLOCK_ELEMENTS // max(1, len(table.r)))
     # at least one block, so that _phases checks the energy range for no times
     for t0 in range(0, max(1, len(flat)), step):
@@ -92,22 +92,21 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
         e_plus, beat = _phases(packet, energies, flat[t0:t0 + step])
         w_plus = e_plus * packet.weights  # on the phases: rows stay uncopied
         w_minus = w_plus * beat
-        for part in (np.real, np.imag):
-            # in place, so that three block x R temporaries are live at once
-            p = np.einsum("...n,nr->...r", part(w_plus), rows)
-            m = np.einsum("...n,nr->...r", part(w_minus), rows)
-            s = 2 * l * m
-            s += p
-            s *= s
-            out2 += s  # |P_+ + 2l P_-|^2
-            m -= p
-            m *= m
-            m *= flip
-            out1 += m
-            p *= p
-            p *= abs(a) ** 2
-            out1 += p
-            del p, m, s
+        # p, m: (Re, Im) x block x R of P_+ and P_-; the rest is in place
+        p, m = np.einsum("kitn,nr->kitr", np.array(
+            [[w_plus.real, w_plus.imag], [w_minus.real, w_minus.imag]]), rows)
+        s = 2 * l * m
+        s += p
+        s *= s
+        np.add(s[0], s[1], out=out2)  # |P_+ + 2l P_-|^2
+        m -= p
+        m *= m
+        m *= flip
+        p *= p
+        p *= abs(a) ** 2
+        np.add(m[0], p[0], out=out1)
+        out1 += m[1]
+        out1 += p[1]
         out1 *= r2
         out2 *= scale2
     shape = times.shape + table.r.shape

@@ -135,8 +135,8 @@ def _check_stride(k_max: int, alpha: int, rho_max: float) -> int:
                                          + k_max * (k_max + alpha)))
 
 
-def _recurrence(rho, lognorm, l, k_top):
-    """Scaled Laguerre recurrence on one (rows x columns) block of rho."""
+def _recurrence(rho, lognorm, l, k_top, out):
+    """Scaled Laguerre recurrence on one rows x columns rho block, into out."""
     if l == 0:
         logw = lognorm - 0.5 * rho  # rho^0 = 1 even at r = 0
     else:
@@ -157,14 +157,13 @@ def _recurrence(rho, lognorm, l, k_top):
     expo[live] = np.floor(log2w[live]).astype(np.int64)
     f_prev = np.zeros(rho.shape)  # degree 0: L_0 = 1
     f_prev[live] = np.exp(logw[live] - expo[live] * _LN2)
-    out = np.empty(rho.shape)
     # k_top is consecutive, so the rows done by degree k are the first
     # k - k_top[0] + 1 (clipped to 0..len): the suffix [i0:] still runs
     k0 = int(k_top[0])
     i0 = min(len(k_top), max(0, 1 - k0))
     np.ldexp(f_prev[:i0], expo[:i0], out=out[:i0])
     if i0 == len(rho):
-        return out
+        return
     stride = _check_stride(int(k_top[-1]), alpha, float(rho.max()))
     f_cur = np.empty(rho.shape)
     buf = np.empty(rho.shape)
@@ -203,7 +202,6 @@ def _recurrence(rho, lognorm, l, k_top):
             fp[big] *= _RESCALE_DOWN
             e[big] += _RESCALE_POW
     np.ldexp(f_cur[i0:], expo[i0:], out=out[i0:])
-    return out
 
 
 def radial_table(params: PhysicalParams, n_min: int, n_max: int,
@@ -243,12 +241,12 @@ def radial_table(params: PhysicalParams, n_min: int, n_max: int,
     # scalar math per n: a row starts from the same bits in any table
     lognorm = np.array([_lognorm(Z, int(n), l) for n in ns])[:, None]
     k_top = ns - l - 1
-    out = np.zeros((len(ns), len(r)))
+    out = np.empty((len(ns), len(r)))  # _recurrence writes every entry
     for c0 in range(0, len(r), _BLOCK_COLUMNS):
         cols = slice(c0, c0 + _BLOCK_COLUMNS)
         # r = 0 and rho = inf (r near the double limit) need no skip:
         # _recurrence's dead mask gives +0.0 there
         with np.errstate(over="ignore"):
             rho = 2.0 * Z * r[cols] / nf
-        out[:, cols] = _recurrence(rho, lognorm, l, k_top)
+        _recurrence(rho, lognorm, l, k_top, out[:, cols])
     return RadialTable(values=out, r=r, n_range=ns, l=l, Z=Z)

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from conftest import (EmptyWindow, amplitude_densities, detect_revivals,
-                      splitting_mp)
+                      ref_densities, splitting_mp)
 from rwp.cli import _ascending
 from rwp.core import PhysicalParams, energy_table, time_scales
 from rwp.errors import InvalidRange, RangeMismatch
 from rwp.observables import (_BLOCK_ELEMENTS, densities, observable_series,
                              spin_expectations)
 from rwp.packet import PacketSpec, amplitudes_at, build_packet
-from rwp.radial import outer_radius, radial_table
+from rwp.radial import make_grid, outer_radius, radial_table
 
 
 def closed_form_spins(packet, energies, t, l, a, b):
@@ -112,16 +112,18 @@ class TestDensities:
             densities(packet, energies, table, [0.0])
 
     def test_wider_energy_table_changes_nothing(self, down, u92_grid):
-        # a table that reaches past the packet on both sides gives the same
-        # bits as the exact one: each n takes its own row
+        # energy and radial tables that reach past the packet on both sides
+        # give the same bits as the exact ones: each n takes its own row
         packet, energies = down
         wide = energy_table(energies.params, packet.n_min - 2,
                             packet.n_max + 3)
-        table = radial_table(energies.params, packet.n_min, packet.n_max,
-                             u92_grid.r[::10])
+        r = u92_grid.r[::10]
+        table = radial_table(energies.params, packet.n_min, packet.n_max, r)
+        wide_table = radial_table(energies.params, packet.n_min - 2,
+                                  packet.n_max + 3, r)
         t = np.linspace(0.0, 1e6, 7)
         for got, want in zip(
-                [*densities(packet, wide, table, t),
+                [*densities(packet, wide, wide_table, t),
                  *dataclasses.astuple(observable_series(packet, wide, t))],
                 [*densities(packet, energies, table, t),
                  *dataclasses.astuple(observable_series(packet, energies, t))]):
@@ -157,6 +159,44 @@ class TestDensitiesAgainstAmplitudes:
         for g, w in zip(got, want):
             assert g.shape == (41, 1001)
             assert np.abs(g - w).max() <= 1e-14 * peak
+
+
+class TestDensitiesBytes:
+    """densities against its four-einsum form (conftest.ref_densities): every
+    value and every sign bit the same, on the default grid."""
+
+    @pytest.mark.parametrize("Z, l, n_av, a, b, axis", [
+        (92, 1, 80, 0.0, 1.0, "fig6"),  # 201 times, a ragged last block
+        (92, 1, 80, 0.6, 0.8j * cmath.exp(0.3j), "fig6"),
+        (92, 1, 80, 1.0, 0.0, "fig6"),
+        (92, 1, 80, 0.6, 0.8j * cmath.exp(0.3j), "shuffled"),
+        (92, 1, 80, 0.6, 0.8, "one"),
+        (92, 1, 80, 0.6, 0.8, "0-d"),
+        (92, 1, 80, 0.6, 0.8, "empty"),
+        (92, 2, 80, 0.6, 0.8, "shuffled"),
+        (92, 3, 80, 0.6, 0.8, "shuffled"),
+        (1, 1, 400, 0.6, 0.8, "shuffled")])
+    def test_same_bytes_as_reference(self, Z, l, n_av, a, b, axis):
+        params = PhysicalParams(Z=Z, l=l)
+        packet = build_packet(PacketSpec(n_av=n_av, sigma=2.0, a=a, b=b), l)
+        energies = energy_table(params, packet.n_min, packet.n_max)
+        table = radial_table(params, packet.n_min, packet.n_max,
+                             make_grid(params, packet.n_max).r)
+        tls = time_scales(params, n_av).t_ls
+        times = {
+            "fig6": np.linspace(0.0, 2.0 * tls, 201),
+            "shuffled": np.random.default_rng(7).permutation(
+                np.linspace(0.0, 3.0 * tls, 23)),
+            "one": [0.3 * tls],
+            "0-d": np.float64(0.3 * tls),
+            "empty": [],
+        }[axis]
+        got = densities(packet, energies, table, times)
+        want = ref_densities(packet, energies, table, times)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == np.shape(times) + table.r.shape
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
 class TestAutocorrelation:
@@ -463,8 +503,8 @@ class TestSpinOrbitMatrixOracle:
     before eigh and its phase exp(-i eps_+ t) put back per n: a centroid
     removed instead leaves phases that differ from the production ones by
     the rounding of |eps_+ t|, up to 1.4e-6 of the peak density.  Worst over
-    1000 random draws: 3.5e-14 in sigma and N2, 9.7e-14 of the peak
-    density."""
+    1000 random draws: 3.5e-14 in sigma and N2, 2.6e-14 in A, 9.7e-14 of
+    the peak density."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(Z=st.integers(1, 136), l=st.integers(1, 6),
@@ -496,7 +536,9 @@ class TestSpinOrbitMatrixOracle:
 
         series = observable_series(packet, energies, np.array([t]))
         cross = np.sum(np.conj(up) * down)
-        for got, want in ((series.sx, 2.0 * cross.real),
+        overlap = np.sum(packet.weights * (psi[:, :2] @ psi0[:2].conj()))
+        for got, want in ((series.A, overlap),
+                          (series.sx, 2.0 * cross.real),
                           (series.sy, 2.0 * cross.imag),
                           (series.sz, np.sum(np.abs(up) ** 2
                                              - np.abs(down) ** 2)),

@@ -314,6 +314,16 @@ class TestRadialTable:
         assert np.all(got != 0.0)
         assert np.all(np.log2(np.abs(got)) - start > 2 * 1024)
 
+    @pytest.mark.parametrize("k_max, alpha, rho_max",
+                             [(2, 3, 0), (5, 1, 30)])
+    def test_check_stride_is_the_longest_safe_stride(self, k_max, alpha,
+                                                     rho_max):
+        # the largest s with G^s <= 2^500, G the growth bound of a step, in
+        # exact integers
+        g = 2 * k_max + 1 + alpha + rho_max + k_max * (k_max + alpha)
+        s = _check_stride(k_max, alpha, float(rho_max))
+        assert g ** s <= 2 ** 500 < g ** (s + 1)
+
     @pytest.mark.parametrize("Z, n_min, n_max, rows, bound, inner_bound", [
         (92, 156, 200, (156, 178, 200), 1e-13, 1e-12),
         (1, 390, 410, (390, 410), 1e-13, 5e-12),
