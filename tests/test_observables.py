@@ -112,22 +112,26 @@ class TestDensities:
             densities(packet, energies, table, [0.0])
 
     def test_wider_energy_table_changes_nothing(self, down, u92_grid):
-        # energy and radial tables that reach past the packet on both sides
-        # give the same bits as the exact ones: each n takes its own row
+        # energy and radial tables that reach past the packet on both sides,
+        # alone, together or with different ranges, give the same bits as
+        # the exact ones: each n takes its own row
         packet, energies = down
         wide = energy_table(energies.params, packet.n_min - 2,
                             packet.n_max + 3)
         r = u92_grid.r[::10]
         table = radial_table(energies.params, packet.n_min, packet.n_max, r)
-        wide_table = radial_table(energies.params, packet.n_min - 2,
-                                  packet.n_max + 3, r)
+        wide_table = radial_table(energies.params, packet.n_min - 1,
+                                  packet.n_max + 4, r)
         t = np.linspace(0.0, 1e6, 7)
-        for got, want in zip(
-                [*densities(packet, wide, wide_table, t),
-                 *dataclasses.astuple(observable_series(packet, wide, t))],
-                [*densities(packet, energies, table, t),
-                 *dataclasses.astuple(observable_series(packet, energies, t))]):
-            assert np.array_equal(got, want)
+        want = densities(packet, energies, table, t)
+        for e, tab in [(wide, table), (energies, wide_table),
+                       (wide, wide_table)]:
+            for got, exact in zip(densities(packet, e, tab, t), want):
+                assert np.array_equal(got, exact)
+        for got, exact in zip(
+                dataclasses.astuple(observable_series(packet, wide, t)),
+                dataclasses.astuple(observable_series(packet, energies, t))):
+            assert np.array_equal(got, exact)
 
     def test_z_mismatch(self, down, u92_grid):
         # a Z = 50 table under Z = 92 energies would give quadrature norms

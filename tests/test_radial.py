@@ -243,6 +243,32 @@ class TestRadialEval:
                                           for n in range(2, 7)])
         assert np.all(got[:, 0] > 0.0)
 
+    def test_start_weight_cutoff_is_inclusive(self):
+        # n = 5, l = 1 (k_top = 3): a column whose start weight is exactly
+        # 2^(-2^40), or 2^20 times larger, runs, and its underflowed value
+        # keeps the sign of (-rho)^3; one 2^20 times smaller gives +0.0
+        Z, n, l = 1, 5, 1
+        lognorm = ref_lognorm(Z, n, l)
+
+        def log2w(r):
+            rho = 2.0 * Z * r / float(n)
+            return (lognorm - 0.5 * rho + l * np.log(rho)) / _LN2
+
+        rho = 2.0 * (-_LOG2W_MIN * _LN2 + lognorm)
+        for _ in range(5):  # rho/2 - l ln rho = 2^40 ln 2 + lognorm
+            rho = 2.0 * (-_LOG2W_MIN * _LN2 + lognorm + l * math.log(rho))
+        r0 = rho * n / (2.0 * Z)
+        near = r0 + np.arange(-4000, 4000) * np.spacing(r0)
+        exact = near[log2w(near) == _LOG2W_MIN]
+        r = np.array([exact[0], r0 * (1 - 2**-20), r0 * (1 + 2**-20)])
+        assert log2w(r)[0] == _LOG2W_MIN
+        assert np.allclose(log2w(r)[1:] - _LOG2W_MIN, [2**20, -2**20])
+        got = row(Z, n, l, r)
+        assert np.array_equal(got, np.zeros(3))
+        assert np.array_equal(np.signbit(got), [True, True, False])
+        assert np.array_equal(np.signbit(got),
+                              np.signbit(ref_radial_eval(Z, n, l, r)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_radius_rejected(self, bad):
         with pytest.raises(InvalidQuantumNumbers, match="finite"):

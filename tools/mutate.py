@@ -15,10 +15,12 @@ only sites on the lines that ``git diff REV`` adds or changes are mutated.
 An unmutated run must pass first.  Then each mutant is "killed" (pytest
 fails), "timeout" (it ran five times as long as the unmutated run) or
 "survived".  The JSON holds every site with its operator, source line,
-outcome and seconds.  A survivor can carry an ``equivalent`` reason,
-written by hand into the JSON; a later run over the same site (file, line,
-column and operator) keeps it.  The score is (killed + timeout) / (mutants
-- equivalent).  Stdlib only.
+outcome and seconds.  A survivor can carry an ``equivalent`` reason or a
+``note``, written by hand into the JSON; a later run keeps them for a
+survivor with the same file, source line text, column and operator, so a
+mark follows its line when lines move and drops when the line changes
+(identical lines share their marks).
+The score is (killed + timeout) / (mutants - equivalent).  Stdlib only.
 """
 
 from __future__ import annotations
@@ -155,9 +157,9 @@ def main() -> int:
     marks = {}
     if out.exists():
         for m in json.loads(out.read_text())["mutants"]:
-            if "equivalent" in m:
-                key = (m["file"], m["line"], m["col"], m["operator"])
-                marks[key] = m["equivalent"]
+            hand = {k: m[k] for k in ("equivalent", "note") if k in m}
+            if hand:
+                marks[m["file"], m["source"], m["col"], m["operator"]] = hand
 
     work = Path(tempfile.mkdtemp(prefix="mutate-")) / "tree"
     try:
@@ -176,9 +178,9 @@ def main() -> int:
             path.write_bytes(source[:start] + new.encode() + source[stop:])
             m["outcome"], m["seconds"] = pytest(work, test_args, timeout)
             path.write_bytes(source)
-            key = (m["file"], m["line"], m["col"], m["operator"])
+            key = (m["file"], m["source"], m["col"], m["operator"])
             if key in marks and m["outcome"] == "survived":
-                m["equivalent"] = marks[key]
+                m.update(marks[key])
             print(f"[{i}/{len(plan)}] {m['file']}:{m['line']} "
                   f"{m['operator']}: {m['outcome']} ({m['seconds']} s)",
                   file=sys.stderr)
