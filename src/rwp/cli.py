@@ -19,6 +19,7 @@ Imported before numpy, this module runs OpenBLAS on one thread unless
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import gc
 import math
@@ -41,7 +42,7 @@ try:
     from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST,
                        PhysicalParams, energy_table, time_scales)
     from .errors import InvalidRange, RwpError
-    from .observables import densities, observable_series
+    from .observables import _blocks, densities, observable_series
     from .packet import N_LIMIT, PacketSpec, build_packet, truncation_bounds
     from .radial import (DEFAULT_GRID_POINTS, make_grid, outer_radius,
                          radial_table)
@@ -56,14 +57,6 @@ except KeyboardInterrupt:  # Ctrl-C before main() runs: exit as main() would
 _PIXEL_WORDS = np.frombuffer(b"".join(
     f"{v}{end}".encode().ljust(4, b"\0") for end in " \n" for v in range(256)),
     dtype=np.uint32)
-# Pixels per block of rows that write_pgm gathers and writes at once (at
-# least one row).  The two fig-6 images (201 x 5001), best of 45 (2-core
-# x86-64, AVX-512), in ms, and traced peak MB:
-# one row per block (5001): 14.7/16.0, 0.11; 16384: 13.5/12.9, 0.25; 32768:
-# 12.7/13.5, 0.49; 65536: 14.0/13.4, 1.05; 131072: 14.2/13.2, 2.09; 262144:
-# 14.7/13.1, 4.17; one block of 201 rows: 22.8/23.6, 16.1.  A Python string
-# per pixel, as before: 38/41, 0.09.
-_PGM_BLOCK_PIXELS = 32768
 
 TIME_UNITS = ("au", "s", "tcl", "tls")
 FORMATS = ("csv", "pgm")
@@ -325,14 +318,6 @@ def _csv_affixes() -> np.ndarray:
 
 
 _DIGIT_SLOT = np.arange(17, dtype=np.uint8)[:, None]  # j, one row per digit
-# Values per block of rows that write_csv formats at once (at least one row).
-# Best/median of 25 in ms, and traced peak MB, on the fig-4 observables table
-# (7001 x 10), a Rydberg density (5001 x 4) and a fig-6 carpet (201 x 5002,
-# best/median of 5), 2-core x86-64, AVX-512: 8192: 17.5/22.8, 6.8/7.5,
-# 236/289, 1.8 MB; 16384: 17.0/22.5, 5.4/7.2, 264/293, 3.6 MB; 32768:
-# 17.5/22.8, 5.2/6.5, 218/296, 7.2 MB; 65536: 18.7/23.0, 5.0/6.5, 257/348,
-# 14.3 MB.  One "%" per row, as before: 49.5/58.2, 25.7/29.8, 961/1015.
-_CSV_BLOCK_VALUES = 16384
 
 
 def _csv_block(rows: np.ndarray) -> bytes:
@@ -382,21 +367,21 @@ def _csv_block(rows: np.ndarray) -> bytes:
     return out.T.tobytes().translate(None, b"\0")
 
 
-def write_csv(path: str, header: list, columns: list):
-    """CRLF CSV of the stacked columns, every value as ``%.17g`` (an int as
-    ``%.17g`` of its float).
-
-    Each block of rows, about ``_CSV_BLOCK_VALUES`` values, is stacked and
-    formatted by ``_csv_block`` in numpy, then written; the bytes are those
-    of formatting each value on its own.
+def write_csv(path: str, header: list, parts):
+    """CRLF CSV of the rows of each part in turn, every value as ``%.17g``
+    (an int as ``%.17g`` of its float).  A part is a list of 1-D or 2-D
+    columns of one length; ``parts`` may be a generator, so no caller need
+    hold a whole table.  Each block of rows of a part (``_blocks``, two
+    elements per value) is stacked and formatted by ``_csv_block`` in numpy,
+    then written; the bytes are those of formatting each value on its own.
     """
-    width = np.column_stack([c[:1] for c in columns]).shape[1]
-    step = max(1, _CSV_BLOCK_VALUES // width)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(columns[0]), step):
-            block = np.column_stack([c[start:start + step] for c in columns])
-            fh.write(_csv_block(block.astype(float, copy=False)))
+        for columns in parts:
+            width = np.column_stack([c[:1] for c in columns]).shape[1]
+            for rows in _blocks(len(columns[0]), 2 * width):
+                block = np.column_stack([c[rows] for c in columns])
+                fh.write(_csv_block(block.astype(float, copy=False)))
 
 
 def write_pgm(path: str, pixels: np.ndarray):
@@ -408,8 +393,7 @@ def write_pgm(path: str, pixels: np.ndarray):
     the words with their NUL padding deleted.
     """
     height, width = pixels.shape
-    rows = max(1, _PGM_BLOCK_PIXELS // max(width, 1))
-    blocks = [pixels[i:i + rows] for i in range(0, height, rows)]
+    blocks = [pixels[rows] for rows in _blocks(height, width)]
     # the range first, so no NaN or infinity reaches the integer cast
     if pixels.size and not (0 <= pixels.min() and pixels.max() <= 255
                             and all(np.array_equal(b, b.astype(np.intp))
@@ -458,8 +442,8 @@ def cmd_energies(cfg: RunConfig) -> list:
     path = _out_path(cfg, "rwp_energies.csv")
     write_csv(path,
               ["n", "eps_plus_au", "eps_minus_au", "delta_au", "omega_au"],
-              [table.n, table.eps_plus, table.eps_minus, table.omega,
-               table.omega])
+              [[table.n, table.eps_plus, table.eps_minus, table.omega,
+                table.omega]])
     return [path]
 
 
@@ -476,13 +460,16 @@ def cmd_timescales(cfg: RunConfig) -> list:
         np.array([getattr(s, f"t_{key}") * factor for s in scales])
         for key in keys]
     path = _out_path(cfg, "rwp_timescales.csv")
-    write_csv(path, header, columns)
+    write_csv(path, header, [columns])
     return [path]
 
 
 @_command("autocorrelation, spin expectations, component norms",
           *_PACKET, "t_max", "t_unit", "samples")
 def cmd_observables(cfg: RunConfig) -> list:
+    """One CSV per packet width, computed and written one block of
+    _BLOCK_ELEMENTS // N times at a time (N the packet's number of n), so
+    only the time axis grows with the samples; no bit depends on the block."""
     params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     unit_au = _time_unit_au(cfg, params)
     t_au = np.linspace(0.0, _time_au("t_max", cfg.t_max, unit_au), cfg.samples)
@@ -491,15 +478,15 @@ def cmd_observables(cfg: RunConfig) -> list:
     for sigma in sigmas:
         packet, energies = _packet_and_energies(replace(cfg, sigma=sigma),
                                                 params)
-        series = observable_series(packet, energies, t_au)
+        series = (observable_series(packet, energies, t_au[rows])
+                  for rows in _blocks(len(t_au), len(packet.n)))
         suffix = f"_sigma{sigma:g}" if len(sigmas) > 1 else ""
         path = _out_path(cfg, "rwp_observables.csv", suffix)
         write_csv(path,
                   ["t", "re_A", "im_A", "asq", "sx", "sy", "sz",
                    "slen", "N1", "N2"],
-                  [series.t / unit_au, series.A.real, series.A.imag,
-                   series.asq, series.sx, series.sy, series.sz,
-                   series.slen, series.N1, series.N2])
+                  ([s.t / unit_au, s.A.real, s.A.imag, s.asq, s.sx, s.sy,
+                    s.sz, s.slen, s.N1, s.N2] for s in series))
         written.append(path)
     return written
 
@@ -519,7 +506,7 @@ def cmd_density(cfg: RunConfig) -> list:
         suffix = f"_t{i}" if len(t_au) > 1 else ""
         path = _out_path(cfg, "rwp_density.csv", suffix)
         write_csv(path, ["r", "rho1", "rho2", "rho"],
-                  [table.r, row1, row2, row1 + row2])
+                  [[table.r, row1, row2, row1 + row2]])
         written.append(path)
     return written
 
@@ -561,7 +548,7 @@ def cmd_carpet(cfg: RunConfig) -> list:
             write_pgm(path, np.rint(rho, out=rho))
         else:
             path = _out_path(cfg, "rwp_carpet.csv", f"_{name}")
-            write_csv(path, header, [t_au / unit_au, rho])
+            write_csv(path, header, [[t_au / unit_au, rho]])
         written.append(path)
     return written
 
@@ -589,6 +576,12 @@ def main(argv=None) -> int:
     # 0.251 s frozen, 0.231 s with os._exit (which skips finalization).
     if argv is None:  # the program itself: no caller's objects to keep in view
         gc.freeze()
+        if sys.platform == "linux":
+            # keep freed memory for the next block of a long table: glibc's
+            # trims refaulted fig 4 at 1,000,001 samples (877k faults, +40%)
+            libc = ctypes.CDLL(None)
+            libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+            libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
     parser = build_parser()
     cli_args = vars(parser.parse_args(argv))
     command = cli_args.pop("command")

@@ -20,14 +20,21 @@ from .errors import RangeMismatch
 from .packet import Packet, SpinorAmplitudes, _phases
 from .radial import RadialTable
 
-# Entries (times x radii) per time block of the projection, so that a
-# block's six block x R temporaries stay in cache.  densities at 201 times
-# x 5001 radii, best of 15 (2-core x86-64, AVX-512, 4 MB L2), in seconds and
-# traced peak MB:
-# one time per block (5001): 0.052/16.6, 16384: 0.045/17.4, 32768:
-# 0.045/18.6, 65536: 0.050/21.4, 131072: 0.053/26.6, 262144: 0.056/37.1,
-# one block of 201 times: 0.064/64.7.
+# Elements per block of every block loop: times x radii (densities), times x
+# n (cmd_observables), pixels (write_pgm), two per value (write_csv, which
+# traces about 230 bytes a value).  ms (best of 15-45) or cold CPU s (median
+# of 6) / peak MB, traced or RSS, at 16384, 32768, 65536 and 131072 (2-core
+# x86-64, AVX-512): densities 201 x 5001, 45/17.4, 45/18.6, 50/21.4, 53/26.6;
+# two fig-6 PGMs, 26.4/0.25, 26.2/0.49, 27.4/1.05, 27.3/2.09; write_csv fig 4,
+# 17.5/1.8, 17.0/3.6, 17.5/7.2, 18.7/14.3; observables fig 4 at 1,000,001
+# samples, 2.84/39.5, 2.70/41.3, 2.77/43.0, 2.79/48.3.
 _BLOCK_ELEMENTS = 32768
+
+
+def _blocks(length: int, width: int) -> list:
+    """Slices of range(length), _BLOCK_ELEMENTS // width rows (>= 1) each."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, width))
+    return [slice(i, i + step) for i in range(0, length, step)]
 
 
 @dataclass(frozen=True)
@@ -61,9 +68,9 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
 
     The sums over n run through einsum on the real and imaginary parts, not
     through BLAS, so no byte depends on the BLAS thread count or on which
-    other times share the call.  The times run in blocks of about
-    _BLOCK_ELEMENTS / R, each with its own phases and one einsum, so besides
-    the two outputs only six block x R temporaries are live at once.
+    other times share the call.  The times run in the blocks of ``_blocks``,
+    _BLOCK_ELEMENTS // R times each, with their own phases and one einsum, so
+    besides the two outputs only six block x R temporaries are live at once.
     """
     lo, hi = int(table.n_range[0]), int(table.n_range[-1])
     if lo > packet.n_min or hi < packet.n_max:
@@ -85,11 +92,10 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
     scale2 = abs(b) ** 2 / (2 * l + 1) ** 2 * r2
     rho1 = np.empty((len(flat), len(table.r)))
     rho2 = np.empty_like(rho1)
-    step = max(1, _BLOCK_ELEMENTS // max(1, len(table.r)))
     # at least one block, so that _phases checks the energy range for no times
-    for t0 in range(0, max(1, len(flat)), step):
-        out1, out2 = rho1[t0:t0 + step], rho2[t0:t0 + step]
-        e_plus, beat = _phases(packet, energies, flat[t0:t0 + step])
+    for block in _blocks(len(flat), len(table.r)) or [slice(0)]:
+        out1, out2 = rho1[block], rho2[block]
+        e_plus, beat = _phases(packet, energies, flat[block])
         w_plus = e_plus * packet.weights  # on the phases: rows stay uncopied
         w_minus = w_plus * beat
         # p, m: (Re, Im) x block x R of P_+ and P_-; the rest is in place

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -24,12 +25,12 @@ from scipy.integrate import simpson
 
 import rwp
 from conftest import readme_block, readme_cli_examples
-from rwp.cli import (_CSV_BLOCK_VALUES, _FLAGS, _g17_digits, build_parser,
-                     main, write_csv, write_pgm)
+from rwp.cli import (_FLAGS, _g17_digits, build_parser, main, write_csv,
+                     write_pgm)
 from rwp.core import (ATOMIC_TIME_SECONDS, PhysicalParams, energy_table,
                       reduced_energy, time_scales)
 from rwp.errors import RwpError
-from rwp.observables import densities, observable_series
+from rwp.observables import _BLOCK_ELEMENTS, densities, observable_series
 from rwp.packet import PacketSpec, build_packet
 from rwp.radial import DEFAULT_GRID_POINTS, outer_radius, radial_table
 
@@ -204,21 +205,68 @@ class TestObservables:
         _, data = read_csv(out)
         assert data[-1][0] == pytest.approx(5e-12, rel=1e-12)
 
-    def test_time_unit_au(self, tmp_path):
+    @pytest.mark.parametrize("figure, blocks, extra", [
+        (None, 0, 5), (None, 0, 1), (None, 1, -1), (None, 1, 0), (None, 1, 1),
+        (None, 3, 2), (2, 3, 2),
+    ], ids=["5", "1", "block-1", "block", "block+1", "3block+2", "figure-2"])
+    def test_time_unit_au(self, tmp_path, figure, blocks, extra):
         # the time column is the axis itself, and the observables are taken
-        # at those atomic-unit times (N2 falls from 1 to 0.56 over them)
-        out = tmp_path / "o.csv"
-        assert main(["observables", "--Z", "92", "--t-unit", "au", "--t-max",
-                     "1e4", "--samples", "5", "--out", str(out)]) == 0
-        header, data = read_csv(out)
-        t = np.linspace(0.0, 1e4, 5)
-        assert np.array_equal(data[:, 0], t)
+        # at those atomic-unit times (N2 falls from 1 to 0.56 over five):
+        # written one block of times at a time (block = the times per block
+        # at the sigma-2 packet's N), each file has the bytes of one
+        # whole-axis observable_series call
         params = PhysicalParams(Z=92, l=1)
-        packet = build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.0, b=1.0),
-                              params.l)
-        energies = energy_table(params, packet.n_min, packet.n_max)
-        assert np.array_equal(data[:, header.index("N2")],
-                              observable_series(packet, energies, t).N2)
+        packets = {sigma: build_packet(PacketSpec(n_av=80, sigma=sigma, a=0.0,
+                                                  b=1.0), params.l)
+                   for sigma in ([1.0, 2.0] if figure else [2.0])}
+        samples = blocks * (_BLOCK_ELEMENTS // len(packets[2.0].n)) + extra
+        out = tmp_path / "o.csv"
+        preset = ["--figure", str(figure)] if figure else ["--Z", "92"]
+        assert main(["observables", *preset, "--t-unit", "au", "--t-max",
+                     "1e4", "--samples", str(samples), "--out", str(out)]) == 0
+        t = np.linspace(0.0, 1e4, samples)
+        header = ["t", "re_A", "im_A", "asq", "sx", "sy", "sz", "slen",
+                  "N1", "N2"]
+        for sigma, packet in packets.items():
+            energies = energy_table(params, packet.n_min, packet.n_max)
+            s = observable_series(packet, energies, t)
+            ref = tmp_path / f"ref_sigma{sigma:g}.csv"
+            ref_write_csv(ref, header, [s.t, s.A.real, s.A.imag, s.asq, s.sx,
+                                        s.sy, s.sz, s.slen, s.N1, s.N2])
+            new = tmp_path / (f"o_sigma{sigma:g}.csv" if figure else "o.csv")
+            assert new.read_bytes() == ref.read_bytes()
+
+    def test_memory_does_not_grow_with_samples(self, tmp_path):
+        # the file is written one block of times at a time: from 20,001 to
+        # 200,001 samples, only the time axis (8 bytes a sample) grows
+        peaks = []
+        for samples in (20001, 200001):
+            tracemalloc.start()
+            try:
+                assert main(["observables", "--figure", "4", "--samples",
+                             str(samples), "--out", str(tmp_path / "o")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the program tunes glibc's allocator only")
+    def test_program_faults_do_not_grow_with_samples(self, tmp_path):
+        # the program keeps freed heap for the next block: 200,001 samples
+        # take about as many minor faults as 20,001 (8x as many, 179k, under
+        # glibc's default trimming)
+        import resource
+        faults = []
+        for samples in (20001, 200001):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            proc = run_cli(["-m", "rwp.cli", "observables", "--figure", "4",
+                            "--samples", str(samples),
+                            "--out", str(tmp_path / "o.csv")])
+            assert proc.returncode == 0, proc.stderr
+            faults.append(
+                resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+        assert faults[1] <= 1.5 * faults[0]
 
 
 class TestDensity:
@@ -505,7 +553,7 @@ class TestDeterminism:
             bits = rng.integers(0, 2 ** 63, (3000, 4)).view(np.float64)
             spread = np.ldexp(rng.random((3000, 4)),
                               rng.integers(-1074, 1024, (3000, 4)))
-            write_csv(sys.argv[1], ["c"] * 9, [bits, -bits[:, 0], spread])
+            write_csv(sys.argv[1], ["c"] * 9, [[bits, -bits[:, 0], spread]])
             """
         outputs = []
         # every target the host offers, then fewer, down to the baseline
@@ -698,16 +746,17 @@ def wide_doubles(shape, seed):
     return np.ldexp(rng.random(shape) - 0.5, rng.integers(-60, 60, shape))
 
 
-# row counts 0, 1 and around one write_csv block, at 1 and at 10 columns
+# row counts 0, 1 and around one write_csv block (two block elements per
+# value), at 1 and at 10 columns
 BLOCK_EDGES = {f"{rows}x{width}": [wide_doubles((rows, width), rows)]
                for width in (1, 10)
-               for block in [_CSV_BLOCK_VALUES // width]
+               for block in [_BLOCK_ELEMENTS // (2 * width)]
                for rows in (0, 1, block - 1, block, block + 1)}
 
 
 def assert_csv_matches_reference(tmp, columns):
     header = [f"c{i}" for i in range(len(columns))]
-    write_csv(tmp / "new.csv", header, columns)
+    write_csv(tmp / "new.csv", header, [columns])
     ref_write_csv(tmp / "ref.csv", header, columns)
     assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
@@ -761,7 +810,7 @@ class TestWriters:
         header = ["t"] + [f"r{i}" for i in range(5001)]
         tracemalloc.start()
         try:
-            write_csv(tmp_path / "big.csv", header, columns)
+            write_csv(tmp_path / "big.csv", header, [columns])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
