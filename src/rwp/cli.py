@@ -42,10 +42,10 @@ try:
     from .core import (ATOMIC_TIME_SECONDS, FINE_STRUCTURE_CONST,
                        PhysicalParams, energy_table, time_scales)
     from .errors import InvalidRange, RwpError
-    from .observables import _blocks, densities, observable_series
+    from .observables import densities, observable_series
     from .packet import N_LIMIT, PacketSpec, build_packet, truncation_bounds
-    from .radial import (DEFAULT_GRID_POINTS, make_grid, outer_radius,
-                         radial_table)
+    from .radial import (DEFAULT_GRID_POINTS, _blocks, make_grid,
+                         outer_radius, radial_table)
 except KeyboardInterrupt:  # Ctrl-C before main() runs: exit as main() would
     if __name__ != "__main__":
         raise
@@ -384,28 +384,30 @@ def write_csv(path: str, header: list, parts):
                 fh.write(_csv_block(block.astype(float, copy=False)))
 
 
-def write_pgm(path: str, pixels: np.ndarray):
-    """Plain-text P2 image of integral pixels in 0..255.
+def write_pgm(path: str, image: np.ndarray, peak: float):
+    """Plain-text P2 image of the levels ``image`` in [0, peak]: each pixel
+    is rint((level * 255) / peak), in 0..255.
 
-    Every pixel is checked before the file is opened, so nothing is written if
-    one is bad.  Then each block of rows gathers one 4-byte word per pixel
-    from ``_PIXEL_WORDS`` (the "v\\n" word in the last column) and writes
-    the words with their NUL padding deleted.
+    The peak and every level are checked before the file is opened, so
+    nothing is written if one is bad.  NaN fails every check, and 255 * peak
+    < inf keeps every scaled level finite and at most 255, so the integer
+    cast sees only 0..255.  Then each block of rows is scaled, rounded and
+    cast once, gathers one 4-byte word per pixel from ``_PIXEL_WORDS`` (the
+    "v\\n" word in the last column) and writes the words with their NUL
+    padding deleted.
     """
-    height, width = pixels.shape
-    blocks = [pixels[rows] for rows in _blocks(height, width)]
-    # the range first, so no NaN or infinity reaches the integer cast
-    if pixels.size and not (0 <= pixels.min() and pixels.max() <= 255
-                            and all(np.array_equal(b, b.astype(np.intp))
-                                    for b in blocks)):
-        raise RwpError(f"{path}: pixels must be integers in 0..255")
+    height, width = image.shape
+    if not (0 < 255.0 * peak < np.inf and (image.size == 0 or (
+            image.min() >= 0 and image.max() <= peak))):
+        raise RwpError(f"{path}: levels must lie in 0..peak, with 0 < "
+                       f"255 * peak < inf; got peak {peak}")
     with open(path, "wb") as fh:
         fh.write(f"P2\n{width} {height}\n255\n".encode())
         if width == 0:
             fh.write(b"\n" * height)
             return
-        for block in blocks:
-            idx = block.astype(np.intp)
+        for rows in _blocks(height, width):
+            idx = np.rint(image[rows] * 255.0 / peak).astype(np.intp)
             idx[:, -1] += 256
             fh.write(_PIXEL_WORDS[idx].tobytes().translate(None, b"\0"))
 
@@ -535,17 +537,14 @@ def cmd_carpet(cfg: RunConfig) -> list:
     ext = os.path.splitext(cfg.out or "")[1].lower()
     pgm = cfg.format == "pgm" or (cfg.format is None and ext == ".pgm")
     # joint scaling: the brightest pixel across both components is 255
-    rho_max = max(rho1.max(), rho2.max())
+    rho_max = max(rho1.max(), rho2.max()) if pgm else None
     header = None if pgm else ["t\\r", *_csv_block(table.r[None, :]).decode()
                                 .removesuffix("\r\n").split(",")]
     written = []
     for name, rho in (("rho1", rho1), ("rho2", rho2)):
         if pgm:
             path = _out_path(cfg, "rwp_carpet.pgm", f"_{name}")
-            # in place, the bytes of np.rint(255.0 * rho / rho_max)
-            rho *= 255.0
-            rho /= rho_max
-            write_pgm(path, np.rint(rho, out=rho))
+            write_pgm(path, rho, rho_max)
         else:
             path = _out_path(cfg, "rwp_carpet.csv", f"_{name}")
             write_csv(path, header, [[t_au / unit_au, rho]])

@@ -18,23 +18,7 @@ import numpy as np
 from .core import EnergyTable
 from .errors import RangeMismatch
 from .packet import Packet, SpinorAmplitudes, _phases
-from .radial import RadialTable
-
-# Elements per block of every block loop: times x radii (densities), times x
-# n (cmd_observables), pixels (write_pgm), two per value (write_csv, which
-# traces about 230 bytes a value).  ms (best of 15-45) or cold CPU s (median
-# of 6) / peak MB, traced or RSS, at 16384, 32768, 65536 and 131072 (2-core
-# x86-64, AVX-512): densities 201 x 5001, 45/17.4, 45/18.6, 50/21.4, 53/26.6;
-# two fig-6 PGMs, 26.4/0.25, 26.2/0.49, 27.4/1.05, 27.3/2.09; write_csv fig 4,
-# 17.5/1.8, 17.0/3.6, 17.5/7.2, 18.7/14.3; observables fig 4 at 1,000,001
-# samples, 2.84/39.5, 2.70/41.3, 2.77/43.0, 2.79/48.3.
-_BLOCK_ELEMENTS = 32768
-
-
-def _blocks(length: int, width: int) -> list:
-    """Slices of range(length), _BLOCK_ELEMENTS // width rows (>= 1) each."""
-    step = max(1, _BLOCK_ELEMENTS // max(1, width))
-    return [slice(i, i + step) for i in range(0, length, step)]
+from .radial import RadialTable, _blocks
 
 
 @dataclass(frozen=True)

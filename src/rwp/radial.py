@@ -45,12 +45,25 @@ _RESCALE_UP = 2.0 ** _RESCALE_POW
 _RESCALE_DOWN = 2.0 ** -_RESCALE_POW
 # least log2 of a start weight that the recurrence runs (see _recurrence)
 _LOG2W_MIN = -2.0 ** 40
-# Radii per block of the all-n recurrence, so that a block's rows stay in
-# cache.  radial_table on the 5001-point grid, l = 1, best of 15 (2-core
-# x86-64, AVX-512), Z 92 n 157-197 / Z 1 n 390-410 / Z 92 n 70-90, in ms:
-# 256: 86/102/30, 512: 79/76/21, 1024: 67/79/16, 2048: 97/74/15, one block
-# of 5001: 135/116/29.
-_BLOCK_COLUMNS = 1024
+# Elements per block of every block loop: rows x radii (radial_table), times
+# x radii (densities), times x n (cmd_observables), pixels (write_pgm), two
+# per value (write_csv, which traces about 230 bytes a value).  ms (best of
+# 15-45) or cold CPU s (median of 6) / peak MB, traced or RSS, at 16384,
+# 32768, 65536 and 131072 (2-core x86-64, AVX-512): densities 201 x 5001,
+# 45/17.4, 45/18.6, 50/21.4, 53/26.6; two fig-6 PGMs, 26.4/0.25, 26.2/0.49,
+# 27.4/1.05, 27.3/2.09; write_csv fig 4, 17.5/1.8, 17.0/3.6, 17.5/7.2,
+# 18.7/14.3; observables fig 4 at 1,000,001 samples, 2.84/39.5, 2.70/41.3,
+# 2.77/43.0, 2.79/48.3.  radial_table on the 5001-point grid, l = 1, median
+# of 8 best-of-15 ms, at 32768 against blocks of 1024 radii: Z 92 n 70-90
+# (N = 21, 1560 radii) 13.1/12.7, Z 1 n 390-410 (N = 21) 51.3/55.3, Z 92
+# n 156-200 (N = 45, 728 radii) 50.7/49.4.
+_BLOCK_ELEMENTS = 32768
+
+
+def _blocks(length: int, width: int) -> list:
+    """Slices of range(length), _BLOCK_ELEMENTS // width rows (>= 1) each."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, width))
+    return [slice(i, i + step) for i in range(0, length, step)]
 
 
 @dataclass(frozen=True)
@@ -215,10 +228,10 @@ def radial_table(params: PhysicalParams, n_min: int, n_max: int,
         H_k(rho) = N/k_top! * exp(-rho/2) * rho^l * k! L_k^{2l+1}(rho),
 
     rho = 2 Z r / n, which obeys the same recurrence because the weight is
-    degree-independent, for all rows at once, one block of _BLOCK_COLUMNS
-    radii at a time.  Row n stops after k_top = n - l - 1 steps, at H =
-    R_{n,l}; since the n ascend, the rows still running at step k are a
-    suffix [i0:] and a row freezes by advancing i0.
+    degree-independent, for all N rows at once, one block of ``_blocks``
+    (_BLOCK_ELEMENTS // N radii) at a time.  Row n stops after k_top =
+    n - l - 1 steps, at H = R_{n,l}; since the n ascend, the rows still
+    running at step k are a suffix [i0:] and a row freezes by advancing i0.
     Each entry takes the arithmetic of a lone row up to exact power-of-two
     rescales, whose steps depend on the block, so a row's bits do not depend
     on which other n or r share its call.  The tests hold the Gram matrix
@@ -242,8 +255,7 @@ def radial_table(params: PhysicalParams, n_min: int, n_max: int,
     lognorm = np.array([_lognorm(Z, int(n), l) for n in ns])[:, None]
     k_top = ns - l - 1
     out = np.empty((len(ns), len(r)))  # _recurrence writes every entry
-    for c0 in range(0, len(r), _BLOCK_COLUMNS):
-        cols = slice(c0, c0 + _BLOCK_COLUMNS)
+    for cols in _blocks(len(r), len(ns)):
         # r = 0 and rho = inf (r near the double limit) need no skip:
         # _recurrence's dead mask gives +0.0 there
         with np.errstate(over="ignore"):

@@ -12,10 +12,9 @@ from scipy.signal import find_peaks
 from rwp.core import (FINE_STRUCTURE_CONST, PhysicalParams, energy_table,
                       time_scales)
 from rwp.errors import RwpError
-from rwp.observables import _BLOCK_ELEMENTS
 from rwp.packet import (PacketSpec, SpinorAmplitudes, _phases, amplitudes_at,
                         build_packet)
-from rwp.radial import RadialGrid, make_grid, radial_table
+from rwp.radial import _BLOCK_ELEMENTS, RadialGrid, make_grid, radial_table
 
 
 def eps_mp(Z, n, j, alpha=FINE_STRUCTURE_CONST, l=None, dps=60):

@@ -30,9 +30,10 @@ from rwp.cli import (_FLAGS, _g17_digits, build_parser, main, write_csv,
 from rwp.core import (ATOMIC_TIME_SECONDS, PhysicalParams, energy_table,
                       reduced_energy, time_scales)
 from rwp.errors import RwpError
-from rwp.observables import _BLOCK_ELEMENTS, densities, observable_series
+from rwp.observables import densities, observable_series
 from rwp.packet import PacketSpec, build_packet
-from rwp.radial import DEFAULT_GRID_POINTS, outer_radius, radial_table
+from rwp.radial import (_BLOCK_ELEMENTS, DEFAULT_GRID_POINTS, outer_radius,
+                        radial_table)
 
 
 def run_cli(args, **env):
@@ -828,20 +829,43 @@ class TestWriters:
     ], ids=["all-256-one-row", "int-dtype", "signed-zero", "zero-width",
             "multi-block", "width-1", "zero-height"])
     def test_pgm_matches_reference(self, tmp_path, pixels):
-        write_pgm(tmp_path / "new.pgm", pixels)
+        write_pgm(tmp_path / "new.pgm", pixels, peak=255.0)
         ref_write_pgm(tmp_path / "ref.pgm", pixels)
         assert (tmp_path / "new.pgm").read_bytes() == \
             (tmp_path / "ref.pgm").read_bytes()
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, -0.5, 256.0, 254.5])
-    def test_pgm_bad_pixel_writes_nothing(self, tmp_path, bad):
-        # also in the last row of an image of several blocks
+    # the last peak is the largest whose 255 * peak is finite
+    @pytest.mark.parametrize("peak", [3.7e-5, 255.0, 5e-324,
+                                      7.04977699946006e+305])
+    def test_pgm_rounds_levels(self, tmp_path, peak):
+        # any levels in [0, peak], 0 and peak among them; at peak 255, the
+        # half-integers, which round to even
+        rng = np.random.default_rng(10)
+        image = (np.arange(0.0, 255.25, 0.5).reshape(1, -1) if peak == 255.0
+                 else rng.uniform(0.0, peak, (37, 5001)))
+        image[0, :2] = 0.0, peak
+        write_pgm(tmp_path / "new.pgm", image, peak)
+        ref_write_pgm(tmp_path / "ref.pgm", np.rint(255.0 * image / peak))
+        assert (tmp_path / "new.pgm").read_bytes() == \
+            (tmp_path / "ref.pgm").read_bytes()
+
+    @pytest.mark.parametrize("bad, peak", [
+        (np.nan, 255.0), (np.inf, 255.0), (-1.0, 255.0), (-0.5, 255.0),
+        (256.0, 255.0), (np.nextafter(255.0, np.inf), 255.0),
+        # a bad peak; 255 * peak overflows at 1e308
+        (17.0, np.nan), (17.0, np.inf), (0.0, 0.0), (0.0, -255.0),
+        (17.0, 1e308)],
+        ids=["nan", "inf", "-1.0", "-0.5", "256.0", "above-peak", "peak-nan",
+             "peak-inf", "peak-zero", "peak-negative", "peak-1e308"])
+    def test_pgm_bad_pixel_writes_nothing(self, tmp_path, bad, peak):
+        # also in the last row of an image of several blocks; at a peak of
+        # 0 or below the image is blank, all 0
         for shape, where in (((4, 5), (3, 2)), ((201, 5001), (-1, -1))):
-            pixels = np.full(shape, 17.0)
-            pixels[where] = bad
+            image = np.full(shape, 17.0 if peak > 0 else 0.0)
+            image[where] = bad
             path = tmp_path / "bad.pgm"
-            with pytest.raises(RwpError, match="0..255"):
-                write_pgm(path, pixels)
+            with pytest.raises(RwpError, match="0..peak"):
+                write_pgm(path, image, peak)
             assert not path.exists()
 
     def test_pgm_streams_in_blocks(self, tmp_path):
@@ -850,7 +874,7 @@ class TestWriters:
         pixels = pixels.astype(float)
         tracemalloc.start()
         try:
-            write_pgm(tmp_path / "big.pgm", pixels)
+            write_pgm(tmp_path / "big.pgm", pixels, peak=255.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -931,6 +955,7 @@ class TestBadInput:
         (["observables", "--Z", "92", "--a", "1e200", "--b", "1",
           "--samples", "3"], "NonNormalizedSpinor"),
         (["timescales", "--Z", "92", "--scan", "150", "20"], "RwpError"),
+        (["timescales", "--Z", "92", "--n-av", "1"], "InvalidQuantumNumbers"),
         # t finite in atomic units, the phase eps t is not (t_cl < 1 au)
         (["observables", "--Z", "92", "--n-av", "2", "--t-max", "1e308",
           "--samples", "3"], "RwpError"),
@@ -975,6 +1000,7 @@ class TestBadInput:
             "t-max-overflows-au", "times-overflow-au",
             "carpet-t-max-overflows-au", "carpet-t-max-zero",
             "carpet-t-max-negative", "a-square-overflows", "scan-reversed",
+            "n-av-below-l-plus-1",
             "phase-overflows", "density-phase-overflows", "sigma-1e300",
             "sigma-1e308", "sigma-negative", "density-sigma-negative",
             "energies-sigma-zero", "z-huge", "n-av-huge",

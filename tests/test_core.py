@@ -13,6 +13,8 @@ from rwp.core import (FINE_STRUCTURE_CONST, PhysicalParams,
 from rwp.errors import InvalidQuantumNumbers, SupercriticalCharge
 
 ALPHA = FINE_STRUCTURE_CONST
+# (l, n) of the splitting oracle: n = l + 1 first, then up to N_LIMIT
+_L_N = [(l, n) for l in (1, 2, 3, 5) for n in (l + 1, 10, 80, 150, 400, 1000)]
 
 
 class TestDiracEnergy:
@@ -68,12 +70,13 @@ class TestEnergyTable:
             leading = ALPHA ** 2 / (2.0 * n ** 3 * 1 * 2)
             assert omega == pytest.approx(leading, rel=1e-4)
 
-    @pytest.mark.parametrize("Z", [1, 47, 92])
-    @pytest.mark.parametrize("n", [10, 80, 150])
-    def test_cancellation_safety(self, Z, n):
-        p = PhysicalParams(Z=Z, l=1)
+    @pytest.mark.parametrize("Z", [1, 47, 92, 136])
+    @pytest.mark.parametrize("l, n", _L_N, ids=[  # n-Z at l = 1
+        f"{n}" if l == 1 else f"l{l}-{n}" for l, n in _L_N])
+    def test_cancellation_safety(self, Z, l, n):
+        p = PhysicalParams(Z=Z, l=l)
         assert energy_splitting(p, n) == pytest.approx(
-            float(splitting_mp(Z, n, 1)), rel=1e-10)
+            float(splitting_mp(Z, n, l)), rel=1e-10)
 
     def test_omega_monotone_decreasing(self):
         p = PhysicalParams(Z=92, l=1)
@@ -192,9 +195,10 @@ class TestSpinOrbitPeriod:
         assert vals[0] == pytest.approx(4.0 / 25.0, rel=1e-3)
 
     def test_lowest_order_helper(self):
-        p = PhysicalParams(Z=1, l=1)
-        assert time_scales(p, 80).t_ls_approx == pytest.approx(
-            4.0 / ALPHA ** 2 * time_scales(p, 80).t_cl, rel=1e-12)
+        for l in (1, 2, 3):
+            scales = time_scales(PhysicalParams(Z=1, l=l), 80)
+            assert scales.t_ls_approx == pytest.approx(
+                2.0 * l * (l + 1) / ALPHA ** 2 * scales.t_cl, rel=1e-12)
 
 
 def test_time_scales_bundle(u92, u92_scales):

@@ -16,10 +16,9 @@ from conftest import (EmptyWindow, amplitude_densities, detect_revivals,
 from rwp.cli import _ascending
 from rwp.core import PhysicalParams, energy_table, time_scales
 from rwp.errors import InvalidRange, RangeMismatch
-from rwp.observables import (_BLOCK_ELEMENTS, densities, observable_series,
-                             spin_expectations)
+from rwp.observables import densities, observable_series, spin_expectations
 from rwp.packet import PacketSpec, amplitudes_at, build_packet
-from rwp.radial import make_grid, outer_radius, radial_table
+from rwp.radial import _BLOCK_ELEMENTS, make_grid, outer_radius, radial_table
 
 
 def closed_form_spins(packet, energies, t, l, a, b):

@@ -47,6 +47,8 @@ class TestBuildPacket:
         assert p.n_min == 2
 
     def test_spinor_validation(self):
+        spec = PacketSpec(n_av=80, sigma=2.0)  # spin down by default
+        assert (spec.a, spec.b) == (0.0, 1.0)
         build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.6, b=0.8), 1)
         with pytest.raises(NonNormalizedSpinor):
             build_packet(PacketSpec(n_av=80, sigma=2.0, a=1.0, b=1.0), 1)
@@ -57,6 +59,9 @@ class TestBuildPacket:
         assert abs(p.spec.a ** 2 + p.spec.b ** 2 - 1.0) <= 4.5e-16
         assert p.spec.a / p.spec.b == pytest.approx(0.6 / 0.8000000005,
                                                     rel=1e-15)
+        # |a|^2 + |b|^2 = 1 + 3.2e-9, beyond the tolerance
+        with pytest.raises(NonNormalizedSpinor):
+            build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.6, b=0.800000002), 1)
 
     def test_nan_spinor_rejected(self):
         with pytest.raises(NonNormalizedSpinor):

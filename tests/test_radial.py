@@ -11,8 +11,9 @@ from scipy.special import eval_genlaguerre
 from conftest import LengthMismatch, inner_product
 from rwp.core import PhysicalParams
 from rwp.errors import InvalidGridSpec, InvalidQuantumNumbers
-from rwp.radial import (DEFAULT_GRID_POINTS, _check_stride, make_grid,
-                        outer_radius, radial_table, simpson_weights)
+from rwp.radial import (_BLOCK_ELEMENTS, DEFAULT_GRID_POINTS, _blocks,
+                        _check_stride, make_grid, outer_radius, radial_table,
+                        simpson_weights)
 
 
 def reference_radial(Z, n, l, r):
@@ -280,14 +281,17 @@ class TestRadialEval:
                          np.array([0.0, 1.0, bad]))
 
 
-def _axes(params, n_max):
+def _axes(params, n_min, n_max):
     """The mapped quadrature grid, the carpet's uniform axis and an unsorted
-    axis over two column blocks with r = 0, -0.0, a repeated radius and a
-    radius whose rho underflows to 0."""
+    axis over two column blocks of the n_min..n_max table with r = 0, -0.0,
+    a repeated radius and a radius whose rho underflows to 0."""
     uniform = np.linspace(0.0, outer_radius(params, n_max), DEFAULT_GRID_POINTS)
     rep = uniform[777]
+    rows = n_max - n_min + 1
     unsorted = np.random.default_rng(n_max).permutation(np.concatenate(
-        [uniform[1:1500], [0.0, 0.0, -0.0, 5e-324, rep, rep]]))
+        [uniform[1:_BLOCK_ELEMENTS // rows],
+         [0.0, 0.0, -0.0, 5e-324, rep, rep]]))
+    assert len(_blocks(len(unsorted), rows)) >= 2
     return {"grid": make_grid(params, n_max).r, "uniform": uniform,
             "unsorted": unsorted}
 
@@ -305,7 +309,7 @@ class TestRadialTable:
         params = SimpleNamespace(Z=Z, l=l)
         if n_min is None:  # rows with k_top = 0 and 1 first
             n_min, n_max = l + 1, l + 12
-        for r in _axes(params, n_max).values():
+        for r in _axes(params, n_min, n_max).values():
             got = radial_table(params, n_min, n_max, r).values
             ref = np.vstack([ref_radial_eval(Z, n, l, r)
                              for n in range(n_min, n_max + 1)])
