@@ -19,6 +19,7 @@ Imported before numpy, this module runs OpenBLAS on one thread unless
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import gc
@@ -367,21 +368,27 @@ def _csv_block(rows: np.ndarray) -> bytes:
     return out.T.tobytes().translate(None, b"\0")
 
 
-def write_csv(path: str, header: list, parts):
-    """CRLF CSV of the rows of each part in turn, every value as ``%.17g``
-    (an int as ``%.17g`` of its float).  A part is a list of 1-D or 2-D
-    columns of one length; ``parts`` may be a generator, so no caller need
-    hold a whole table.  Each block of rows of a part (``_blocks``, two
-    elements per value) is stacked and formatted by ``_csv_block`` in numpy,
-    then written; the bytes are those of formatting each value on its own.
+def write_csv(paths: list, header: list, parts) -> list:
+    """CRLF CSV files written in lockstep, each with the one ``header``, every
+    value as ``%.17g`` (an int as ``%.17g`` of its float).  A part holds one
+    list of 1-D or 2-D columns of one length per file, and its rows go to
+    that file; ``parts`` may be a generator, so no caller need hold a whole
+    table.  Every file is opened before the first is written.  Each block of
+    rows (``_blocks``, two elements per value) is stacked and formatted by
+    ``_csv_block`` in numpy, then written; the bytes are those of formatting
+    each value on its own.  Returns ``paths``.
     """
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        for columns in parts:
-            width = np.column_stack([c[:1] for c in columns]).shape[1]
-            for rows in _blocks(len(columns[0]), 2 * width):
-                block = np.column_stack([c[rows] for c in columns])
-                fh.write(_csv_block(block.astype(float, copy=False)))
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh in files:
+            fh.write((",".join(header) + "\r\n").encode())
+        for part in parts:
+            for fh, columns in zip(files, part, strict=True):
+                width = np.column_stack([c[:1] for c in columns]).shape[1]
+                for rows in _blocks(len(columns[0]), 2 * width):
+                    block = np.column_stack([c[rows] for c in columns])
+                    fh.write(_csv_block(block.astype(float, copy=False)))
+    return paths
 
 
 def write_pgm(path: str, image: np.ndarray, peak: float):
@@ -441,12 +448,9 @@ def _packet_and_energies(cfg: RunConfig, params: PhysicalParams):
 def cmd_energies(cfg: RunConfig) -> list:
     params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     table = energy_table(params, *truncation_bounds(_packet_spec(cfg), params.l))
-    path = _out_path(cfg, "rwp_energies.csv")
-    write_csv(path,
-              ["n", "eps_plus_au", "eps_minus_au", "delta_au", "omega_au"],
-              [[table.n, table.eps_plus, table.eps_minus, table.omega,
-                table.omega]])
-    return [path]
+    header = ["n", "eps_plus_au", "eps_minus_au", "delta_au", "omega_au"]
+    return write_csv([_out_path(cfg, "rwp_energies.csv")], header, [[[
+        table.n, table.eps_plus, table.eps_minus, table.omega, table.omega]]])
 
 
 @_command("characteristic times T_cl, T_rev, T_ls, T_ls2",
@@ -461,36 +465,32 @@ def cmd_timescales(cfg: RunConfig) -> list:
     columns = [np.array(n_values, dtype=float)] + [
         np.array([getattr(s, f"t_{key}") * factor for s in scales])
         for key in keys]
-    path = _out_path(cfg, "rwp_timescales.csv")
-    write_csv(path, header, [columns])
-    return [path]
+    return write_csv([_out_path(cfg, "rwp_timescales.csv")], header,
+                     [[columns]])
 
 
 @_command("autocorrelation, spin expectations, component norms",
           *_PACKET, "t_max", "t_unit", "samples")
 def cmd_observables(cfg: RunConfig) -> list:
-    """One CSV per packet width, computed and written one block of
-    _BLOCK_ELEMENTS // N times at a time (N the packet's number of n), so
-    only the time axis grows with the samples; no bit depends on the block."""
+    """One CSV per packet width, all written one block of _BLOCK_ELEMENTS // N
+    times at a time (N: the n of every packet), so only the time axis grows
+    with the samples; no bit depends on the block."""
     params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     unit_au = _time_unit_au(cfg, params)
     t_au = np.linspace(0.0, _time_au("t_max", cfg.t_max, unit_au), cfg.samples)
     sigmas = cfg.sigmas or [cfg.sigma]
-    written = []
-    for sigma in sigmas:
-        packet, energies = _packet_and_energies(replace(cfg, sigma=sigma),
-                                                params)
-        series = (observable_series(packet, energies, t_au[rows])
-                  for rows in _blocks(len(t_au), len(packet.n)))
-        suffix = f"_sigma{sigma:g}" if len(sigmas) > 1 else ""
-        path = _out_path(cfg, "rwp_observables.csv", suffix)
-        write_csv(path,
-                  ["t", "re_A", "im_A", "asq", "sx", "sy", "sz",
-                   "slen", "N1", "N2"],
-                  ([s.t / unit_au, s.A.real, s.A.imag, s.asq, s.sx, s.sy,
-                    s.sz, s.slen, s.N1, s.N2] for s in series))
-        written.append(path)
-    return written
+    packets = [_packet_and_energies(replace(cfg, sigma=sigma), params)
+               for sigma in sigmas]
+    series = ([observable_series(packet, energies, t_au[rows])
+               for packet, energies in packets]
+              for rows in _blocks(len(t_au), sum(len(p.n) for p, _ in packets)))
+    return write_csv(
+        [_out_path(cfg, "rwp_observables.csv",
+                   f"_sigma{sigma:g}" if len(sigmas) > 1 else "")
+         for sigma in sigmas],
+        ["t", "re_A", "im_A", "asq", "sx", "sy", "sz", "slen", "N1", "N2"],
+        ([[s.t / unit_au, s.A.real, s.A.imag, s.asq, s.sx, s.sy, s.sz,
+           s.slen, s.N1, s.N2] for s in block] for block in series))
 
 
 @_command("component densities at chosen times",
@@ -503,14 +503,12 @@ def cmd_density(cfg: RunConfig) -> list:
     grid = make_grid(params, packet.n_max, cfg.grid_points)
     table = radial_table(params, packet.n_min, packet.n_max, grid.r)
     rho1, rho2 = densities(packet, energies, table, t_au)
-    written = []
-    for i, (row1, row2) in enumerate(zip(rho1, rho2)):
-        suffix = f"_t{i}" if len(t_au) > 1 else ""
-        path = _out_path(cfg, "rwp_density.csv", suffix)
-        write_csv(path, ["r", "rho1", "rho2", "rho"],
-                  [[table.r, row1, row2, row1 + row2]])
-        written.append(path)
-    return written
+    return write_csv(
+        [_out_path(cfg, "rwp_density.csv", f"_t{i}" if len(t_au) > 1 else "")
+         for i in range(len(t_au))],
+        ["r", "rho1", "rho2", "rho"],
+        [[[table.r, row1, row2, row1 + row2]
+          for row1, row2 in zip(rho1, rho2)]])
 
 
 def _ascending(t_au: np.ndarray) -> np.ndarray:
@@ -533,23 +531,25 @@ def cmd_carpet(cfg: RunConfig) -> list:
     # images sample a uniform axis, so equal pixels hold equal widths of r
     r = np.linspace(0.0, outer_radius(params, packet.n_max), cfg.grid_points)
     table = radial_table(params, packet.n_min, packet.n_max, r)
-    rho1, rho2 = densities(packet, energies, table, t_au)
     ext = os.path.splitext(cfg.out or "")[1].lower()
-    pgm = cfg.format == "pgm" or (cfg.format is None and ext == ".pgm")
-    # joint scaling: the brightest pixel across both components is 255
-    rho_max = max(rho1.max(), rho2.max()) if pgm else None
-    header = None if pgm else ["t\\r", *_csv_block(table.r[None, :]).decode()
-                                .removesuffix("\r\n").split(",")]
-    written = []
-    for name, rho in (("rho1", rho1), ("rho2", rho2)):
-        if pgm:
-            path = _out_path(cfg, "rwp_carpet.pgm", f"_{name}")
+    fmt = cfg.format or ("pgm" if ext == ".pgm" else "csv")
+    paths = [_out_path(cfg, f"rwp_carpet.{fmt}", f"_{name}")
+             for name in ("rho1", "rho2")]
+    if fmt == "pgm":
+        # joint scaling: the brightest pixel of both images is 255, so the
+        # whole densities come before the first pixel
+        rho1, rho2 = densities(packet, energies, table, t_au)
+        rho_max = max(rho1.max(), rho2.max())
+        for path, rho in zip(paths, (rho1, rho2)):
             write_pgm(path, rho, rho_max)
-        else:
-            path = _out_path(cfg, "rwp_carpet.csv", f"_{name}")
-            write_csv(path, header, [[t_au / unit_au, rho]])
-        written.append(path)
-    return written
+        return paths
+    header = ["t\\r", *_csv_block(table.r[None, :]).decode()
+              .removesuffix("\r\n").split(",")]
+    # the CSVs: one block of _BLOCK_ELEMENTS // R times at a time (R radii)
+    return write_csv(paths, header, (
+        [[t_au[rows] / unit_au, rho]
+         for rho in densities(packet, energies, table, t_au[rows])]
+        for rows in _blocks(len(t_au), len(r))))
 
 
 def build_parser() -> argparse.ArgumentParser:

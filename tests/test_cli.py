@@ -358,6 +358,47 @@ class TestCarpet:
         assert len(rows[0]) == 602
         assert float(rows[-1][0]) == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1],
+                             ids=["block-1", "block", "block+1"])
+    def test_csv_time_unit_au(self, tmp_path, extra):
+        # the t column is the axis itself; written one block of times at a
+        # time (block = the times per densities block at 501 radii), both
+        # files have the bytes of one whole-axis densities call
+        samples = _BLOCK_ELEMENTS // 501 + extra
+        out = tmp_path / "c.csv"
+        assert main(["carpet", "--Z", "92", "--a", "0.6", "--b", "0.8",
+                     "--t-unit", "au", "--t-max", "1e4", "--samples",
+                     str(samples), "--grid-points", "501",
+                     "--out", str(out)]) == 0
+        params = PhysicalParams(Z=92, l=1)
+        packet = build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.6, b=0.8),
+                              params.l)
+        energies = energy_table(params, packet.n_min, packet.n_max)
+        r = np.linspace(0.0, outer_radius(params, packet.n_max), 501)
+        table = radial_table(params, packet.n_min, packet.n_max, r)
+        t = np.linspace(0.0, 1e4, samples)
+        header = ["t\\r"] + ["%.17g" % v for v in r]
+        for name, rho in zip(("rho1", "rho2"),
+                             densities(packet, energies, table, t)):
+            ref_write_csv(tmp_path / f"ref_{name}.csv", header, [t, rho])
+            assert (tmp_path / f"c_{name}.csv").read_bytes() == \
+                (tmp_path / f"ref_{name}.csv").read_bytes()
+
+    def test_csv_memory_does_not_grow_with_samples(self, tmp_path):
+        # the CSVs are written one block of times at a time: from 101 to
+        # 1,010 samples only the time axis grows, not the T x R densities
+        peaks = []
+        for samples in (101, 1010):
+            tracemalloc.start()
+            try:
+                assert main(["carpet", "--Z", "92", "--samples", str(samples),
+                             "--grid-points", "501", "--format", "csv",
+                             "--out", str(tmp_path / "c.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
     def test_r_axis_uniform_to_outer_radius(self, tmp_path):
         out = tmp_path / "c.csv"
         assert main(["carpet", "--Z", "92", "--samples", "2",
@@ -554,7 +595,8 @@ class TestDeterminism:
             bits = rng.integers(0, 2 ** 63, (3000, 4)).view(np.float64)
             spread = np.ldexp(rng.random((3000, 4)),
                               rng.integers(-1074, 1024, (3000, 4)))
-            write_csv(sys.argv[1], ["c"] * 9, [[bits, -bits[:, 0], spread]])
+            write_csv([sys.argv[1]], ["c"] * 9,
+                      [[[bits, -bits[:, 0], spread]]])
             """
         outputs = []
         # every target the host offers, then fewer, down to the baseline
@@ -757,7 +799,7 @@ BLOCK_EDGES = {f"{rows}x{width}": [wide_doubles((rows, width), rows)]
 
 def assert_csv_matches_reference(tmp, columns):
     header = [f"c{i}" for i in range(len(columns))]
-    write_csv(tmp / "new.csv", header, [columns])
+    write_csv([tmp / "new.csv"], header, [[columns]])
     ref_write_csv(tmp / "ref.csv", header, columns)
     assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
@@ -804,6 +846,27 @@ class TestWriters:
             pytest.skip("log10 rounds no exponent up on this host")
         assert not _g17_digits(below[rounded_up])[2].any()
 
+    def test_csv_writes_files_in_lockstep(self, tmp_path):
+        # one call, one header, two files of other widths and row counts per
+        # part, parts without rows and parts of several writer blocks among
+        # them: each file has the bytes of its own columns written whole
+        one = wide_doubles(40000, 13)
+        two = [np.arange(8000), wide_doubles((8000, 4), 14)]
+        cuts = [(0, 0), (0, 3), (1, 3), (20000, 7999), (40000, 8000)]
+        parts = ([[one[i:j]], [c[k:m] for c in two]]
+                 for (i, k), (j, m) in zip(cuts, cuts[1:]))
+        paths = [tmp_path / "one.csv", tmp_path / "two.csv"]
+        header = ["x", "y"]
+        assert write_csv(paths, header, parts) == paths
+        ref_write_csv(tmp_path / "ref_one.csv", header, [one])
+        ref_write_csv(tmp_path / "ref_two.csv", header, two)
+        for name in ("one", "two"):
+            assert (tmp_path / f"{name}.csv").read_bytes() == \
+                (tmp_path / f"ref_{name}.csv").read_bytes()
+        # a part must hold one list of columns per file
+        with pytest.raises(ValueError):
+            write_csv(paths, header, [[[one]]])
+
     def test_csv_streams_in_blocks(self, tmp_path):
         # a fig-6 carpet table: the writer holds a small part of it at a time
         rho = wide_doubles((201, 5001), 12)
@@ -811,7 +874,7 @@ class TestWriters:
         header = ["t"] + [f"r{i}" for i in range(5001)]
         tracemalloc.start()
         try:
-            write_csv(tmp_path / "big.csv", header, [columns])
+            write_csv([tmp_path / "big.csv"], header, [[columns]])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -951,6 +1014,11 @@ class TestBadInput:
           "--grid-points", "501"], "InvalidRange"),
         (["carpet", "--Z", "92", "--t-max", "-1", "--samples", "3",
           "--grid-points", "501"], "InvalidRange"),
+        # t_max > 0, yet linspace repeats a subnormal: its last time, or 0
+        (["carpet", "--Z", "92", "--t-unit", "au", "--t-max", "3e-323",
+          "--samples", "5", "--grid-points", "501"], "InvalidRange"),
+        (["carpet", "--Z", "92", "--t-unit", "au", "--t-max", "5e-324",
+          "--samples", "3", "--grid-points", "501"], "InvalidRange"),
         # |a|^2 overflows
         (["observables", "--Z", "92", "--a", "1e200", "--b", "1",
           "--samples", "3"], "NonNormalizedSpinor"),
@@ -999,7 +1067,9 @@ class TestBadInput:
             "carpet-grid-points-3", "carpet-grid-points-500",
             "t-max-overflows-au", "times-overflow-au",
             "carpet-t-max-overflows-au", "carpet-t-max-zero",
-            "carpet-t-max-negative", "a-square-overflows", "scan-reversed",
+            "carpet-t-max-negative", "carpet-t-max-subnormal-repeats-end",
+            "carpet-t-max-subnormal-repeats-zero", "a-square-overflows",
+            "scan-reversed",
             "n-av-below-l-plus-1",
             "phase-overflows", "density-phase-overflows", "sigma-1e300",
             "sigma-1e308", "sigma-negative", "density-sigma-negative",
