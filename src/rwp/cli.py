@@ -391,32 +391,35 @@ def write_csv(paths: list, header: list, parts) -> list:
     return paths
 
 
-def write_pgm(path: str, image: np.ndarray, peak: float):
-    """Plain-text P2 image of the levels ``image`` in [0, peak]: each pixel
-    is rint((level * 255) / peak), in 0..255.
+def write_pgm(paths: list, images) -> list:
+    """Plain-text P2 images of the levels ``images``, one per path, on one
+    gray scale: each pixel is rint((level * 255) / peak), in 0..255, where
+    peak is the largest level of all the images.
 
-    The peak and every level are checked before the file is opened, so
-    nothing is written if one is bad.  NaN fails every check, and 255 * peak
-    < inf keeps every scaled level finite and at most 255, so the integer
-    cast sees only 0..255.  Then each block of rows is scaled, rounded and
-    cast once, gathers one 4-byte word per pixel from ``_PIXEL_WORDS`` (the
-    "v\\n" word in the last column) and writes the words with their NUL
-    padding deleted.
+    Every image is checked before any file is opened, so nothing is written
+    if one is bad: each must be non-empty with levels >= 0, and 0 < 255 *
+    peak < inf.  NaN fails the check of its image, and the peak check keeps
+    every scaled level finite and at most 255, so the integer cast sees only
+    0..255.  Every file is opened before the first is written.  Then each
+    block of rows is scaled, rounded and cast once, gathers one 4-byte word
+    per pixel from ``_PIXEL_WORDS`` (the "v\\n" word in the last column)
+    and writes the words with their NUL padding deleted.  Returns ``paths``.
     """
-    height, width = image.shape
-    if not (0 < 255.0 * peak < np.inf and (image.size == 0 or (
-            image.min() >= 0 and image.max() <= peak))):
-        raise RwpError(f"{path}: levels must lie in 0..peak, with 0 < "
-                       f"255 * peak < inf; got peak {peak}")
-    with open(path, "wb") as fh:
-        fh.write(f"P2\n{width} {height}\n255\n".encode())
-        if width == 0:
-            fh.write(b"\n" * height)
-            return
-        for rows in _blocks(height, width):
-            idx = np.rint(image[rows] * 255.0 / peak).astype(np.intp)
-            idx[:, -1] += 256
-            fh.write(_PIXEL_WORDS[idx].tobytes().translate(None, b"\0"))
+    peak = float(max(image.max(initial=0.0) for image in images))
+    if not (0 < 255.0 * peak < np.inf
+            and all(image.size and image.min() >= 0 for image in images)):
+        raise RwpError(f"{', '.join(map(str, paths))}: levels must lie in "
+                       f"0..peak, with 0 < 255 * peak < inf; got peak {peak}")
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh, image in zip(files, images, strict=True):
+            height, width = image.shape
+            fh.write(f"P2\n{width} {height}\n255\n".encode())
+            for rows in _blocks(height, width):
+                idx = np.rint(image[rows] * 255.0 / peak).astype(np.intp)
+                idx[:, -1] += 256
+                fh.write(_PIXEL_WORDS[idx].tobytes().translate(None, b"\0"))
+    return paths
 
 
 COMMANDS = {}  # subcommand -> its cmd_* function; a tracer may rebind values
@@ -445,8 +448,7 @@ def _packet_and_energies(cfg: RunConfig, params: PhysicalParams):
 
 @_command("fine-structure doublets and splitting frequencies",
           "n_av", "sigma", "n_min", "n_max")
-def cmd_energies(cfg: RunConfig) -> list:
-    params = PhysicalParams(Z=cfg.Z, l=cfg.l)
+def cmd_energies(cfg: RunConfig, params: PhysicalParams) -> list:
     table = energy_table(params, *truncation_bounds(_packet_spec(cfg), params.l))
     header = ["n", "eps_plus_au", "eps_minus_au", "delta_au", "omega_au"]
     return write_csv([_out_path(cfg, "rwp_energies.csv")], header, [[[
@@ -455,8 +457,7 @@ def cmd_energies(cfg: RunConfig) -> list:
 
 @_command("characteristic times T_cl, T_rev, T_ls, T_ls2",
           "n_av", "scan", "au", "with_approx")
-def cmd_timescales(cfg: RunConfig) -> list:
-    params = PhysicalParams(Z=cfg.Z, l=cfg.l)
+def cmd_timescales(cfg: RunConfig, params: PhysicalParams) -> list:
     n_values = range(cfg.scan[0], cfg.scan[1] + 1) if cfg.scan else [cfg.n_av]
     factor, unit = (1.0, "au") if cfg.au else (ATOMIC_TIME_SECONDS, "s")
     scales = [time_scales(params, n_av) for n_av in n_values]
@@ -471,11 +472,10 @@ def cmd_timescales(cfg: RunConfig) -> list:
 
 @_command("autocorrelation, spin expectations, component norms",
           *_PACKET, "t_max", "t_unit", "samples")
-def cmd_observables(cfg: RunConfig) -> list:
+def cmd_observables(cfg: RunConfig, params: PhysicalParams) -> list:
     """One CSV per packet width, all written one block of _BLOCK_ELEMENTS // N
     times at a time (N: the n of every packet), so only the time axis grows
     with the samples; no bit depends on the block."""
-    params = PhysicalParams(Z=cfg.Z, l=cfg.l)
     unit_au = _time_unit_au(cfg, params)
     t_au = np.linspace(0.0, _time_au("t_max", cfg.t_max, unit_au), cfg.samples)
     sigmas = cfg.sigmas or [cfg.sigma]
@@ -495,8 +495,7 @@ def cmd_observables(cfg: RunConfig) -> list:
 
 @_command("component densities at chosen times",
           *_PACKET, "t_unit", "grid_points", "times")
-def cmd_density(cfg: RunConfig) -> list:
-    params = PhysicalParams(Z=cfg.Z, l=cfg.l)
+def cmd_density(cfg: RunConfig, params: PhysicalParams) -> list:
     unit_au = _time_unit_au(cfg, params)
     t_au = [_time_au("times", t, unit_au) for t in cfg.times or [0.0]]
     packet, energies = _packet_and_energies(cfg, params)
@@ -522,8 +521,7 @@ def _ascending(t_au: np.ndarray) -> np.ndarray:
 
 @_command("space-time density grids (PGM or CSV)",
           *_PACKET, "t_max", "t_unit", "samples", "grid_points", "format")
-def cmd_carpet(cfg: RunConfig) -> list:
-    params = PhysicalParams(Z=cfg.Z, l=cfg.l)
+def cmd_carpet(cfg: RunConfig, params: PhysicalParams) -> list:
     unit_au = _time_unit_au(cfg, params)
     t_au = _ascending(np.linspace(
         0.0, _time_au("t_max", cfg.t_max, unit_au), cfg.samples))
@@ -535,14 +533,8 @@ def cmd_carpet(cfg: RunConfig) -> list:
     fmt = cfg.format or ("pgm" if ext == ".pgm" else "csv")
     paths = [_out_path(cfg, f"rwp_carpet.{fmt}", f"_{name}")
              for name in ("rho1", "rho2")]
-    if fmt == "pgm":
-        # joint scaling: the brightest pixel of both images is 255, so the
-        # whole densities come before the first pixel
-        rho1, rho2 = densities(packet, energies, table, t_au)
-        rho_max = max(rho1.max(), rho2.max())
-        for path, rho in zip(paths, (rho1, rho2)):
-            write_pgm(path, rho, rho_max)
-        return paths
+    if fmt == "pgm":  # one gray scale: the whole densities come first
+        return write_pgm(paths, densities(packet, energies, table, t_au))
     header = ["t\\r", *_csv_block(table.r[None, :]).decode()
               .removesuffix("\r\n").split(",")]
     # the CSVs: one block of _BLOCK_ELEMENTS // R times at a time (R radii)
@@ -586,7 +578,7 @@ def main(argv=None) -> int:
     command = cli_args.pop("command")
     try:
         cfg = merge_config(cli_args, parser)
-        written = COMMANDS[command](cfg)
+        written = COMMANDS[command](cfg, PhysicalParams(Z=cfg.Z, l=cfg.l))
     except (RwpError, OSError, MemoryError) as exc:
         print(f"rwp: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

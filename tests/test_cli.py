@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import csv
+import ctypes
 import gc
 import io
 import json
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -701,21 +703,32 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == expected
 
-    def test_only_the_program_freezes(self, tmp_path, capsys):
-        # main(argv), called in a process, freezes nothing; main() with no
-        # argv is the program itself (python -m rwp.cli, the rwp script)
+    def test_only_the_program_freezes(self, tmp_path, capsys, monkeypatch):
+        # main(argv), called in a process, freezes nothing and leaves the
+        # allocator as it finds it; main() with no argv is the program itself
+        # (python -m rwp.cli, the rwp script), which on Linux also sets
+        # glibc's mmap and trim thresholds (mallopt -3 and -1) to 32 and 64 MiB
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(
+            mallopt=lambda *args: calls.append(args)))
         before = gc.isenabled(), gc.get_freeze_count()
         assert main(["energies", "--Z", "92",
                      "--out", str(tmp_path / "in.csv")]) == 0
-        assert (gc.isenabled(), gc.get_freeze_count()) == before
+        assert (gc.isenabled(), gc.get_freeze_count(), calls) == (*before, [])
         out = str(tmp_path / "program.csv")
-        proc = run_cli(["-c", "import gc, sys, rwp.cli; sys.argv[1:] = "
+        proc = run_cli(["-c", "import ctypes, gc, sys, types, rwp.cli; "
+                        "calls = []; ctypes.CDLL = lambda name: "
+                        "types.SimpleNamespace(mallopt=lambda *args: "
+                        "calls.append(args)); sys.argv[1:] = "
                         f"['energies', '--Z', '92', '--out', {out!r}]; "
                         "code = rwp.cli.main(); "
                         "print(code, gc.isenabled(), "
-                        "gc.get_freeze_count() > 0)"])
+                        "gc.get_freeze_count() > 0); print(calls)"])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split()[-3:] == ["0", "True", "True"]
+        *_, status, mallopt = proc.stdout.splitlines()
+        assert status.split() == ["0", "True", "True"]
+        expected = [(-3, 32 << 20), (-1, 64 << 20)]
+        assert mallopt == repr(expected if sys.platform == "linux" else [])
 
     def test_public_surface(self):
         # dir(), the star import and __all__ name the same public names, each
@@ -772,15 +785,34 @@ def exact_ties():
     return np.array(ties)
 
 
+def near_ties():
+    """Doubles whose 17-digit rounding lies 2**-k off a tie, x 10**16 = D +
+    1/2 +- 2**-k for k = 21, 25, 29, outside the 1e-9 in which the writer
+    doubts its digits: in [1, 2), x = m / 2**52 and x 10**16 = m 5**16 /
+    2**36, so m 5**16 = 2**35 +- 2**(36 - k) modulo 2**36."""
+    rng = np.random.default_rng(12)
+    inverse = pow(5 ** 16, -1, 2 ** 36)
+    near = []
+    for k in (21, 25, 29):
+        for sign in (1, -1):
+            m = (2 ** 35 + sign * 2 ** (36 - k)) * inverse % 2 ** 36
+            near += [math.ldexp(m + int(j) * 2 ** 36, -52)
+                     for j in rng.integers(2 ** 16, 2 ** 17, 4)]
+    return np.array(near)
+
+
 POWERS_OF_TWO = with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
 POWERS_OF_TEN = with_neighbours(np.array([float(f"1e{k}")
                                           for k in range(-323, 309)]))
 TIES = exact_ties()
+NEAR_TIES = near_ties()
 # %g's switch from fixed to e-notation at exponents -4 and 17
 SWITCH_POINTS = with_neighbours(np.array([1e-4, 1e-5, 1e16, 1e17]), steps=4)
 BIG_INTS = np.array([2 ** 53, 2 ** 53 + 1, 2 ** 53 + 3, 2 ** 62 + 1,
                      2 ** 63 - 1, -2 ** 63, -(2 ** 53 + 1), 123456789012345678],
                     dtype=np.int64)
+# the largest PGM peak whose 255 * peak is finite
+LARGEST_PEAK = 7.04977699946006e+305
 
 
 def wide_doubles(shape, seed):
@@ -814,12 +846,14 @@ class TestWriters:
         [POWERS_OF_TWO],
         [POWERS_OF_TEN.reshape(-1, 6)],
         [TIES, np.nextafter(TIES, 0), np.nextafter(TIES, np.inf)],
+        [NEAR_TIES],
         [SWITCH_POINTS],
         [BIG_INTS],
         [BIG_INTS, BIG_INTS.astype(float)],
         *BLOCK_EDGES.values(),
     ], ids=["one-column", "three-columns", "int-and-float", "all-int", "no-rows",
-            "powers-of-two", "powers-of-ten", "ties", "switch-points",
+            "powers-of-two", "powers-of-ten", "ties", "near-ties",
+            "switch-points",
             "int64-beyond-2**53", "int64-and-float", *BLOCK_EDGES])
     def test_csv_matches_reference(self, tmp_path, columns):
         assert_csv_matches_reference(tmp_path, columns)
@@ -837,8 +871,9 @@ class TestWriters:
     def test_csv_falls_back_where_digits_are_in_doubt(self):
         # these take "%.17g" % x, which the tests above compare: every exact
         # tie, and every double just below a power of ten whose exponent
-        # log10 rounds up to that power's
+        # log10 rounds up to that power's; a value 2e-9 off a tie does not
         assert not _g17_digits(TIES)[2].any()
+        assert _g17_digits(NEAR_TIES)[2].all()
         below = np.nextafter(np.array([float(f"1e{k}")
                                        for k in range(-300, 301)]), 0)
         rounded_up = np.log10(below) == np.round(np.log10(below))
@@ -884,52 +919,76 @@ class TestWriters:
         np.random.default_rng(7).permutation(256).astype(float)[None, :],
         np.arange(256).reshape(16, 16),
         np.array([[-0.0, 0.0, 255.0], [1.0, 254.0, 10.0]]),
-        np.zeros((3, 0)),
         # 37 rows are not a multiple of the rows per block
         np.random.default_rng(8).integers(0, 256, (37, 5001)).astype(float),
         np.arange(256.0)[:, None],
-        np.zeros((0, 5)),
-    ], ids=["all-256-one-row", "int-dtype", "signed-zero", "zero-width",
-            "multi-block", "width-1", "zero-height"])
+    ], ids=["all-256-one-row", "int-dtype", "signed-zero", "multi-block",
+            "width-1"])
     def test_pgm_matches_reference(self, tmp_path, pixels):
-        write_pgm(tmp_path / "new.pgm", pixels, peak=255.0)
+        # levels 0..255, 255 among them: each pixel is its level
+        path = tmp_path / "new.pgm"
+        assert write_pgm([path], [pixels]) == [path]
         ref_write_pgm(tmp_path / "ref.pgm", pixels)
-        assert (tmp_path / "new.pgm").read_bytes() == \
-            (tmp_path / "ref.pgm").read_bytes()
+        assert path.read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 
-    # the last peak is the largest whose 255 * peak is finite
-    @pytest.mark.parametrize("peak", [3.7e-5, 255.0, 5e-324,
-                                      7.04977699946006e+305])
-    def test_pgm_rounds_levels(self, tmp_path, peak):
+    # the peaks of the images, one image each
+    @pytest.mark.parametrize("peaks", [
+        (3.7e-5,), (255.0,), (5e-324,), (LARGEST_PEAK,),
+        (3.7e-5, 1e-5), (1e-5, 3.7e-5)],
+        ids=["3.7e-05", "255.0", "5e-324", "7.04977699946006e+305",
+             "two-images-bright-first", "two-images-dim-first"])
+    def test_pgm_rounds_levels(self, tmp_path, peaks):
         # any levels in [0, peak], 0 and peak among them; at peak 255, the
-        # half-integers, which round to even
+        # half-integers, which round to even.  Images of other peaks share
+        # the gray scale of the brightest: rint(level * 255 / joint peak)
         rng = np.random.default_rng(10)
-        image = (np.arange(0.0, 255.25, 0.5).reshape(1, -1) if peak == 255.0
-                 else rng.uniform(0.0, peak, (37, 5001)))
-        image[0, :2] = 0.0, peak
-        write_pgm(tmp_path / "new.pgm", image, peak)
-        ref_write_pgm(tmp_path / "ref.pgm", np.rint(255.0 * image / peak))
-        assert (tmp_path / "new.pgm").read_bytes() == \
-            (tmp_path / "ref.pgm").read_bytes()
+        images = []
+        for peak in peaks:
+            image = (np.arange(0.0, 255.25, 0.5).reshape(1, -1)
+                     if peak == 255.0 else rng.uniform(0.0, peak, (37, 5001)))
+            image[0, :2] = 0.0, peak
+            images.append(image)
+        paths = [tmp_path / f"new{i}.pgm" for i in range(len(images))]
+        assert write_pgm(paths, images) == paths
+        for path, image in zip(paths, images):
+            ref_write_pgm(tmp_path / "ref.pgm",
+                          np.rint(255.0 * image / max(peaks)))
+            assert path.read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 
-    @pytest.mark.parametrize("bad, peak", [
-        (np.nan, 255.0), (np.inf, 255.0), (-1.0, 255.0), (-0.5, 255.0),
-        (256.0, 255.0), (np.nextafter(255.0, np.inf), 255.0),
-        # a bad peak; 255 * peak overflows at 1e308
-        (17.0, np.nan), (17.0, np.inf), (0.0, 0.0), (0.0, -255.0),
-        (17.0, 1e308)],
-        ids=["nan", "inf", "-1.0", "-0.5", "256.0", "above-peak", "peak-nan",
-             "peak-inf", "peak-zero", "peak-negative", "peak-1e308"])
-    def test_pgm_bad_pixel_writes_nothing(self, tmp_path, bad, peak):
-        # also in the last row of an image of several blocks; at a peak of
-        # 0 or below the image is blank, all 0
+    @pytest.mark.parametrize("fill, bad, before", [
+        (17.0, np.nan, None), (17.0, np.inf, None), (17.0, -np.inf, None),
+        (17.0, -1.0, None), (17.0, -0.5, None),
+        # no gray scale fits: the peak is NaN, infinite, 0 or negative, or
+        # 255 * peak overflows (at 1e308, and one ulp above LARGEST_PEAK)
+        (np.nan, np.nan, None), (np.inf, np.inf, None), (0.0, 0.0, None),
+        (-255.0, -255.0, None), (17.0, 1e308, None),
+        (17.0, np.nextafter(LARGEST_PEAK, np.inf), None),
+        # no level at all
+        (17.0, np.s_[:, :0], None), (17.0, np.s_[:0, :], None),
+        # the bad image second, after a good one of a higher peak:
+        # max(peak, nan) is the peak, so each image's own check must fail
+        (17.0, np.nan, np.full((2, 3), 200.0)),
+        (17.0, -1.0, np.full((2, 3), 200.0))],
+        ids=["nan", "inf", "-inf", "-1.0", "-0.5", "peak-nan", "peak-inf",
+             "peak-zero", "peak-negative", "peak-1e308",
+             "peak-overflows-by-one-ulp", "zero-width", "zero-height",
+             "nan-in-second", "negative-in-second"])
+    def test_pgm_bad_pixel_writes_nothing(self, tmp_path, fill, bad, before):
+        # one bad level among levels of ``fill``, also in the last row of an
+        # image of several blocks; where ``bad`` is a slice, it cuts every
+        # level away.  No file of the call is written, not even the good
+        # image's
         for shape, where in (((4, 5), (3, 2)), ((201, 5001), (-1, -1))):
-            image = np.full(shape, 17.0 if peak > 0 else 0.0)
-            image[where] = bad
-            path = tmp_path / "bad.pgm"
+            image = np.full(shape, fill)
+            if isinstance(bad, tuple):
+                image = image[bad]
+            else:
+                image[where] = bad
+            images = [image] if before is None else [before, image]
+            paths = [tmp_path / f"bad{i}.pgm" for i in range(len(images))]
             with pytest.raises(RwpError, match="0..peak"):
-                write_pgm(path, image, peak)
-            assert not path.exists()
+                write_pgm(paths, images)
+            assert list(tmp_path.iterdir()) == []
 
     def test_pgm_streams_in_blocks(self, tmp_path):
         # a fig-6 image: the writer holds a small part of it at a time
@@ -937,7 +996,7 @@ class TestWriters:
         pixels = pixels.astype(float)
         tracemalloc.start()
         try:
-            write_pgm(tmp_path / "big.pgm", pixels, peak=255.0)
+            write_pgm([tmp_path / "big.pgm"], [pixels])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1131,15 +1190,21 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("args", [
-        ["observables", "--Z", "92", "--samples", "3"],
-        ["carpet", "--Z", "92", "--samples", "3", "--grid-points", "501"],
-    ], ids=["observables", "carpet"])
-    def test_unwritable_out_is_domain_error(self, tmp_path, capsys, args):
-        out = tmp_path / "missing" / "out.pgm"
-        assert main(args + ["--out", str(out)]) == 1
+    @pytest.mark.parametrize("args, out, error", [
+        (["observables", "--Z", "92", "--samples", "3"], "missing/out.pgm",
+         "FileNotFoundError"),
+        (["carpet", "--Z", "92", "--samples", "3", "--grid-points", "501"],
+         "missing/out.pgm", "FileNotFoundError"),
+        # the second of the carpet's two images cannot be opened
+        (["carpet", "--Z", "92", "--samples", "3", "--grid-points", "501"],
+         "out.pgm", "IsADirectoryError"),
+    ], ids=["observables", "carpet", "carpet-rho2-directory"])
+    def test_unwritable_out_is_domain_error(self, tmp_path, capsys, args, out,
+                                            error):
+        (tmp_path / "out_rho2.pgm").mkdir()  # where the carpet puts rho2
+        assert main(args + ["--out", str(tmp_path / out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("rwp: error: FileNotFoundError: ")
+        assert err.startswith(f"rwp: error: {error}: ")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("bounds", [[], ["--n-min", "78", "--n-max", "82"]],
