@@ -102,8 +102,8 @@ class RunConfig:
         if self.grid_points < 501 or self.grid_points % 2 == 0:
             raise RwpError(
                 f"grid_points must be odd and >= 501, got {self.grid_points}")
-        # numpy raises ValueError for an array of more than sys.maxsize bytes
-        if max(self.samples, self.grid_points) > sys.maxsize // 8:
+        # numpy raises ValueError, not MemoryError, from 2**60 - 64 values up
+        if max(self.samples, self.grid_points) > sys.maxsize // 16:
             raise RwpError(f"samples and grid_points must fit one float64 array, "
                            f"got {self.samples} and {self.grid_points}")
         if self.t_unit not in TIME_UNITS:

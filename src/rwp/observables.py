@@ -53,8 +53,11 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
     The sums over n run through einsum on the real and imaginary parts, not
     through BLAS, so no byte depends on the BLAS thread count or on which
     other times share the call.  The times run in the blocks of ``_blocks``,
-    _BLOCK_ELEMENTS // R times each, with their own phases and one einsum, so
-    besides the two outputs only six block x R temporaries are live at once.
+    _BLOCK_ELEMENTS // R times each.  A block takes its phases, one einsum
+    for q = (Re P_-, Re P_+, Im P_-, Im P_+) and two that sum the weighted
+    squares from zero in that order: rho2 of P_+ + 2l P_- as Re + Im, rho1
+    as ((Re m + Re p) + Im m) + Im p of m = P_- - P_+ and p = P_+.  Besides
+    the two outputs only six block x R temporaries are live at once.
     """
     lo, hi = int(table.n_range[0]), int(table.n_range[-1])
     if lo > packet.n_min or hi < packet.n_max:
@@ -71,7 +74,7 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
     rows = table.values[packet.n_min - lo:packet.n_max - lo + 1]
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
-    flip = abs(b) ** 2 * 2 * l / (2 * l + 1) ** 2  # of |P_+ - P_-|^2
+    coef = np.array([abs(b) ** 2 * 2 * l / (2 * l + 1) ** 2, abs(a) ** 2] * 2)
     r2 = table.r ** 2
     scale2 = abs(b) ** 2 / (2 * l + 1) ** 2 * r2
     rho1 = np.empty((len(flat), len(table.r)))
@@ -82,21 +85,12 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
         e_plus, beat = _phases(packet, energies, flat[block])
         w_plus = e_plus * packet.weights  # on the phases: rows stay uncopied
         w_minus = w_plus * beat
-        # p, m: (Re, Im) x block x R of P_+ and P_-; the rest is in place
-        p, m = np.einsum("kitn,nr->kitr", np.array(
-            [[w_plus.real, w_plus.imag], [w_minus.real, w_minus.imag]]), rows)
-        s = 2 * l * m
-        s += p
-        s *= s
-        np.add(s[0], s[1], out=out2)  # |P_+ + 2l P_-|^2
-        m -= p
-        m *= m
-        m *= flip
-        p *= p
-        p *= abs(a) ** 2
-        np.add(m[0], p[0], out=out1)
-        out1 += m[1]
-        out1 += p[1]
+        q = np.einsum("ktn,nr->ktr", np.array(
+            [w_minus.real, w_plus.real, w_minus.imag, w_plus.imag]), rows)
+        s = 2 * l * q[0::2] + q[1::2]  # P_+ + 2l P_-
+        np.einsum("k...,k...->...", s, s, out=out2)
+        q[0::2] -= q[1::2]  # P_- - P_+
+        np.einsum("k...,k...,k->...", q, q, coef, out=out1)
         out1 *= r2
         out2 *= scale2
     shape = times.shape + table.r.shape

@@ -152,6 +152,16 @@ class TestTimescales:
             assert row[4] == pytest.approx((2.0 / 3.0) * row[0] * row[3],
                                            rel=1e-15)
 
+    @pytest.mark.parametrize("args, rows", [
+        (["--scan", "50", "50"], [50.0]),
+        (["--n-av", "1000"], [1000.0]),
+    ], ids=["scan-of-one", "n-av-at-n-limit"])
+    def test_bounds_are_inclusive(self, tmp_path, args, rows):
+        out = tmp_path / "t.csv"
+        assert main(["timescales", "--Z", "92", *args, "--out", str(out)]) == 0
+        _, data = read_csv(out)
+        assert data[:, 0].tolist() == rows
+
     def test_au_and_approx_columns(self, tmp_path):
         out = tmp_path / "t.csv"
         main(["timescales", "--Z", "92", "--n-av", "80", "--au",
@@ -197,6 +207,7 @@ class TestObservables:
         assert main(["observables", "--Z", "92", "--a", "0.6", "--b",
                      "0.8000000005", "--out", str(out)]) == 0
         header, data = read_csv(out)
+        assert len(data) == 501  # the default samples
         col = dict(zip(header, data.T))
         assert col["slen"].max() <= 1.0 + 1e-12
         assert abs(col["asq"][0] - 1.0) <= 1e-12
@@ -207,6 +218,23 @@ class TestObservables:
               str(5e-12), "--samples", "3", "--out", str(out)])
         _, data = read_csv(out)
         assert data[-1][0] == pytest.approx(5e-12, rel=1e-12)
+        # the same run in au, at the t_max that seconds convert to: every
+        # observable has the same bits (N2 falls from 1 to 0.48 over them)
+        t_max_au = 5e-12 * (1.0 / ATOMIC_TIME_SECONDS)
+        main(["observables", "--Z", "92", "--t-unit", "au", "--t-max",
+              repr(t_max_au), "--samples", "3", "--out", str(tmp_path / "au")])
+        _, data_au = read_csv(tmp_path / "au")
+        assert data_au[-1][0] == t_max_au
+        assert data_au[:, 1:].tobytes() == data[:, 1:].tobytes()
+
+    def test_phase_bound_at_its_edge(self, tmp_path):
+        # t / alpha^2 is finite at 1e303 au, so the run goes ahead (t / alpha^3
+        # would not be); its phases are finite and so is every row
+        out = tmp_path / "o.csv"
+        assert main(["observables", "--Z", "92", "--t-unit", "au", "--t-max",
+                     "1e303", "--samples", "2", "--out", str(out)]) == 0
+        _, data = read_csv(out)
+        assert data.shape == (2, 10) and np.all(np.isfinite(data))
 
     @pytest.mark.parametrize("figure, blocks, extra", [
         (None, 0, 5), (None, 0, 1), (None, 1, -1), (None, 1, 0), (None, 1, 1),
@@ -302,6 +330,13 @@ class TestDensity:
             assert len(r) == DEFAULT_GRID_POINTS
             assert r[0] == 0.0 and np.all(np.diff(r) > 0)
             assert simpson(rho, x=r) == pytest.approx(1.0, abs=1e-6)
+
+    def test_default_time_is_zero(self, tmp_path):
+        args = ["density", "--Z", "92", "--grid-points", "501", "--out"]
+        assert main([*args, str(tmp_path / "default.csv")]) == 0
+        assert main([*args, str(tmp_path / "zero.csv"), "--times", "0"]) == 0
+        assert (tmp_path / "default.csv").read_bytes() == \
+            (tmp_path / "zero.csv").read_bytes()
 
     def test_negative_time_accepted(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -434,6 +469,13 @@ class TestConfigPrecedence:
         out = tmp_path / "e.csv"
         assert main(["energies", "--config", str(cfg), "--n-min", "2",
                      "--n-max", "3", "--out", str(out)]) == 0
+
+    def test_value_may_hold_equals(self, tmp_path, capsys):
+        # only the first '=' of a line splits key from value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"Z = 92\nsamples = 3\nout = {tmp_path / 'a=b.csv'}\n")
+        assert main(["observables", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == f"{tmp_path / 'a=b.csv'}\n"
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -1118,6 +1160,16 @@ class TestBadInput:
          "MemoryError"),
         (["carpet", "--Z", "92", "--samples", "3",
           "--grid-points", "100000000000000001"], "MemoryError"),
+        # at the bound numpy's own MemoryError; above it (at sys.maxsize // 8
+        # numpy would raise ValueError), RwpError
+        (["observables", "--Z", "92", "--samples", str(sys.maxsize // 16)],
+         "MemoryError"),
+        (["observables", "--Z", "92", "--samples", str(sys.maxsize // 8)],
+         "RwpError"),
+        (["carpet", "--Z", "92", "--samples", "3",
+          "--grid-points", str(sys.maxsize // 16)], "MemoryError"),
+        (["carpet", "--Z", "92", "--samples", "3",
+          "--grid-points", str(sys.maxsize // 8)], "RwpError"),
     ], ids=["t-max-inf", "sigma-nan", "a-nan", "samples-negative",
             "carpet-samples-zero", "carpet-t-max-inf", "times-nan",
             "density-grid-points-0", "density-grid-points-1",
@@ -1137,7 +1189,9 @@ class TestBadInput:
             "scan-above-n-limit", "samples-huge", "carpet-grid-points-huge",
             "samples-unallocatable",
             "density-grid-points-unallocatable",
-            "carpet-grid-points-unallocatable"])
+            "carpet-grid-points-unallocatable", "samples-at-bound",
+            "samples-above-bound", "grid-points-at-bound",
+            "grid-points-above-bound"])
     def test_rejected_before_writing(self, tmp_path, capsys, args, error):
         assert main(args + ["--out", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err
@@ -1167,8 +1221,8 @@ class TestBadInput:
     @pytest.mark.parametrize("command, line, message", [
         ("carpet", "format = xyz", "format must be in"),
         ("energies", "t_unit = xyz", "t_unit must be in"),
-        ("observables", "n_av", "expected 'key = value'"),
-        ("observables", "n_av = 8.5", "bad value for n_av"),
+        ("observables", "n_av", ":4: expected 'key = value'"),
+        ("observables", "n_av = 8.5", ":4: bad value for n_av"),
         ("energies", "\xff = 1", "not UTF-8 text"),
     ], ids=["format", "t-unit", "no-equals", "int-key-float-value",
             "not-utf-8"])
@@ -1176,8 +1230,9 @@ class TestBadInput:
                                          line, message):
         # the flags' choices= and types reject these values, a line without
         # '=' sets nothing, and a byte that is not UTF-8 has no meaning; a
-        # config file must reject each.  Latin-1 writes each character of
-        # these lines as one byte, so '\xff' is the byte 0xff.
+        # config file must reject each, by the line's number where it has
+        # one (the fourth).  Latin-1 writes each character of these lines as
+        # one byte, so '\xff' is the byte 0xff.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"Z = 92\nsamples = 3\ngrid_points = 501\n{line}\n",
                        encoding="latin-1")

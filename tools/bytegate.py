@@ -37,6 +37,16 @@ CARPET = ["carpet", "--Z", "92", "--a", "0.6", "--b", "0.8",
           "--t-max", "1.5"]
 
 
+def build_tree(rev: str, dest: Path) -> Path:
+    """REV's committed files, extracted with ``git archive`` into dest, so
+    ``.git`` is never touched and nothing untracked comes along."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
 def tree_facts() -> tuple:
     """(the README's CLI examples, the block size), read by the test helpers
     in a child process, which has numpy; this one need not."""
@@ -114,13 +124,9 @@ def main(argv=None) -> int:
     parser.add_argument("--rev", default="HEAD",
                         help="revision to compare the working tree with")
     opts = parser.parse_args(argv)
-    archive = subprocess.run(["git", "archive", opts.rev], cwd=ROOT,
-                             capture_output=True, check=True).stdout
     named = jobs()
     with tempfile.TemporaryDirectory(prefix="bytegate-") as tmp:
-        old_tree = Path(tmp) / "rev"
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(old_tree, filter="data")
+        old_tree = build_tree(opts.rev, Path(tmp) / "rev")
         failed = 0
         for name, job in named.items():
             for blas in (None, "2"):
