@@ -55,9 +55,9 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
     other times share the call.  The times run in the blocks of ``_blocks``,
     _BLOCK_ELEMENTS // R times each.  A block takes its phases, one einsum
     for q = (Re P_-, Re P_+, Im P_-, Im P_+) and two that sum the weighted
-    squares from zero in that order: rho2 of P_+ + 2l P_- as Re + Im, rho1
-    as ((Re m + Re p) + Im m) + Im p of m = P_- - P_+ and p = P_+.  Besides
-    the two outputs only six block x R temporaries are live at once.
+    squares from zero in that order: rho2 as Re^2 + Im^2 of P_+ + 2l P_-,
+    rho1 as ((Re m + Re p) + Im m) + Im p of m = P_- - P_+ and p = P_+.
+    Besides the two outputs only six block x R temporaries are live at once.
     """
     lo, hi = int(table.n_range[0]), int(table.n_range[-1])
     if lo > packet.n_min or hi < packet.n_max:

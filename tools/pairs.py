@@ -134,6 +134,7 @@ def main(argv=None) -> int:
                     m["better"] == "lower")
                 bad += entry["metrics"][m["name"]]["verdict"] == "worse"
             result["workloads"][workload] = entry
+    result["verdict"] = verdicts(result["workloads"])
     Path(opts.out).write_text(json.dumps(result, indent=1) + "\n")
     for workload, entry in result["workloads"].items():
         for name, m in entry["metrics"].items():
@@ -142,6 +143,15 @@ def main(argv=None) -> int:
                   f"{m['change_wins']}/{opts.pairs}): {m['verdict']}",
                   file=sys.stderr)
     return 1 if bad else 0
+
+
+def verdicts(workloads: dict) -> dict:
+    """Each verdict -> the "workload metric" pairs that got it."""
+    found = {}
+    for workload, entry in workloads.items():
+        for name, m in entry["metrics"].items():
+            found.setdefault(m["verdict"], []).append(f"{workload} {name}")
+    return found
 
 
 def blas() -> dict:
