@@ -53,10 +53,10 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
     The sums over n run through einsum on the real and imaginary parts, not
     through BLAS, so no byte depends on the BLAS thread count or on which
     other times share the call.  The times run in the blocks of ``_blocks``,
-    _BLOCK_ELEMENTS // R times each.  A block takes its phases, one einsum
-    for q = (Re P_-, Re P_+, Im P_-, Im P_+) and two that sum the weighted
-    squares from zero in that order: rho2 as Re^2 + Im^2 of P_+ + 2l P_-,
-    rho1 as ((Re m + Re p) + Im m) + Im p of m = P_- - P_+ and p = P_+.
+    _BLOCK_ELEMENTS // R times each.  A block takes its phases, one einsum for
+    q = (Re P_-, Re P_+, Im P_-, Im P_+) and in-place ufuncs, which never fuse
+    a multiply and an add: rho2 = Re^2 + Im^2 of P_+ + 2l P_-, and rho1 =
+    ((Re m + Re p) + Im m) + Im p of m = P_- - P_+ and p = P_+, squares scaled.
     Besides the two outputs only six block x R temporaries are live at once.
     """
     lo, hi = int(table.n_range[0]), int(table.n_range[-1])
@@ -74,7 +74,8 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
     rows = table.values[packet.n_min - lo:packet.n_max - lo + 1]
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
-    coef = np.array([abs(b) ** 2 * 2 * l / (2 * l + 1) ** 2, abs(a) ** 2] * 2)
+    flip = abs(b) ** 2 * 2 * l / (2 * l + 1) ** 2  # of |P_+ - P_-|^2
+    coef = np.reshape([flip, abs(a) ** 2] * 2, (4, 1, 1))
     r2 = table.r ** 2
     scale2 = abs(b) ** 2 / (2 * l + 1) ** 2 * r2
     rho1 = np.empty((len(flat), len(table.r)))
@@ -88,9 +89,14 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
         q = np.einsum("ktn,nr->ktr", np.array(
             [w_minus.real, w_plus.real, w_minus.imag, w_plus.imag]), rows)
         s = 2 * l * q[0::2] + q[1::2]  # P_+ + 2l P_-
-        np.einsum("k...,k...->...", s, s, out=out2)
+        s *= s
+        np.add(*s, out=out2)
         q[0::2] -= q[1::2]  # P_- - P_+
-        np.einsum("k...,k...,k->...", q, q, coef, out=out1)
+        q *= q
+        q *= coef
+        np.add(*q[:2], out=out1)
+        out1 += q[2]
+        out1 += q[3]
         out1 *= r2
         out2 *= scale2
     shape = times.shape + table.r.shape

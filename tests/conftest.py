@@ -54,8 +54,8 @@ def ref_densities(packet, energies, table, times):
     """(rho1, rho2) by ``densities``' block loop in its four-einsum form: one
     einsum per real or imaginary part of each phase sum, in a loop over the
     two parts, squared, scaled and added onto zero-filled outputs in place.
-    The byte reference of ``densities``, whose block makes three einsums:
-    one projection and two sums of products in the same order."""
+    The byte reference of ``densities``, whose block makes one einsum and
+    the same squares, scalings and adds in the same order."""
     lo = int(table.n_range[0])
     a, b, l = complex(packet.spec.a), complex(packet.spec.b), energies.params.l
     rows = table.values[packet.n_min - lo:packet.n_max - lo + 1]
