@@ -161,12 +161,14 @@ def verdicts(workloads: dict) -> dict:
 
 
 def blas() -> dict:
-    """numpy's BLAS build, read in a child that imports numpy."""
+    """numpy's BLAS build, read in a child that imports numpy, without the
+    directories it was built in."""
     code = ("import json, numpy; print(json.dumps(numpy.show_config("
             "mode='dicts')['Build Dependencies']['blas']))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    return json.loads(out)
+    return {k: v for k, v in json.loads(out).items()
+            if not k.endswith("directory")}
 
 
 if __name__ == "__main__":
