@@ -83,7 +83,7 @@ class RunConfig:
     t_unit: str = "tcl"
     samples: int = 501
     grid_points: int = DEFAULT_GRID_POINTS
-    format: str | None = None  # carpet infers from the out extension, else csv
+    format: str | None = None  # carpet, unless out ends in .csv/.pgm; else csv
     out: str | None = None
     scan: list[int] | None = None  # timescales: [N_MIN, N_MAX]
     times: list[float] | None = None  # density snapshot times
@@ -530,7 +530,7 @@ def cmd_carpet(cfg: RunConfig, params: PhysicalParams) -> list:
     r = np.linspace(0.0, outer_radius(params, packet.n_max), cfg.grid_points)
     table = radial_table(params, packet.n_min, packet.n_max, r)
     ext = os.path.splitext(cfg.out or "")[1].lower()
-    fmt = cfg.format or ("pgm" if ext == ".pgm" else "csv")
+    fmt = {".csv": "csv", ".pgm": "pgm"}.get(ext) or cfg.format or "csv"
     paths = [_out_path(cfg, f"rwp_carpet.{fmt}", f"_{name}")
              for name in ("rho1", "rho2")]
     if fmt == "pgm":  # one gray scale: the whole densities come first

@@ -26,5 +26,5 @@ class InvalidRange(RwpError):
 
 
 class RangeMismatch(RwpError):
-    """Energy or radial table does not cover the packet's n range, or has
-    another l or Z."""
+    """Energy or radial table does not span exactly the packet's n range, or
+    has another l or Z."""

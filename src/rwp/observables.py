@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import EnergyTable
 from .errors import RangeMismatch
-from .packet import Packet, SpinorAmplitudes, _phases
+from .packet import Packet, SpinorAmplitudes, _phases, _same_n
 from .radial import RadialTable, _blocks
 
 
@@ -40,7 +40,8 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
               times):
     """(rho1, rho2): the radial densities of the upper and lower spinor
     component at the table's R radii, each of shape times.shape + (R,): T x R
-    for a 1-D axis of T times in any order.
+    for a 1-D axis of T times in any order.  RangeMismatch, before any block
+    runs, unless both tables span exactly the packet's n at one l and Z.
 
     With the phase sums P_+- = sum_n w_n e_+- R_n (e_- = e_+ beat), the
     channel sums of ``amplitudes_at`` are a P_+, b sqrt(2l)/(2l+1) (P_+ - P_-)
@@ -59,19 +60,12 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
     ((Re m + Re p) + Im m) + Im p of m = P_- - P_+ and p = P_+, squares scaled.
     Besides the two outputs only six block x R temporaries are live at once.
     """
-    lo, hi = int(table.n_range[0]), int(table.n_range[-1])
-    if lo > packet.n_min or hi < packet.n_max:
-        raise RangeMismatch(
-            f"radial table covers [{lo}, {hi}], "
-            f"packet needs [{packet.n_min}, {packet.n_max}]"
-        )
+    _same_n(packet, table.n_range, "radial table")
+    _same_n(packet, energies.n, "energy table")
     a, b, l = complex(packet.spec.a), complex(packet.spec.b), energies.params.l
-    if table.l != l:
-        raise RangeMismatch(f"radial table has l={table.l}, energies l={l}")
-    if table.Z != energies.params.Z:
-        raise RangeMismatch(
-            f"radial table has Z={table.Z}, energies Z={energies.params.Z}")
-    rows = table.values[packet.n_min - lo:packet.n_max - lo + 1]
+    if (table.l, table.Z) != (l, energies.params.Z):
+        raise RangeMismatch(f"radial table has l={table.l}, Z={table.Z}; "
+                            f"energies l={l}, Z={energies.params.Z}")
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
     flip = abs(b) ** 2 * 2 * l / (2 * l + 1) ** 2  # of |P_+ - P_-|^2
@@ -80,14 +74,13 @@ def densities(packet: Packet, energies: EnergyTable, table: RadialTable,
     scale2 = abs(b) ** 2 / (2 * l + 1) ** 2 * r2
     rho1 = np.empty((len(flat), len(table.r)))
     rho2 = np.empty_like(rho1)
-    # at least one block, so that _phases checks the energy range for no times
-    for block in _blocks(len(flat), len(table.r)) or [slice(0)]:
+    for block in _blocks(len(flat), len(table.r)):
         out1, out2 = rho1[block], rho2[block]
         e_plus, beat = _phases(packet, energies, flat[block])
         w_plus = e_plus * packet.weights  # on the phases: rows stay uncopied
         w_minus = w_plus * beat
-        q = np.einsum("ktn,nr->ktr", np.array(
-            [w_minus.real, w_plus.real, w_minus.imag, w_plus.imag]), rows)
+        parts = [w_minus.real, w_plus.real, w_minus.imag, w_plus.imag]
+        q = np.einsum("ktn,nr->ktr", np.array(parts), table.values)
         s = 2 * l * q[0::2] + q[1::2]  # P_+ + 2l P_-
         s *= s
         np.add(*s, out=out2)

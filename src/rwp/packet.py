@@ -131,18 +131,20 @@ def build_packet(spec: PacketSpec, l: int) -> Packet:
     return Packet(spec=resolved, n=n, weights=w / math.sqrt(np.sum(w ** 2)))
 
 
+def _same_n(packet: Packet, n, what: str) -> None:
+    if (n[0], n[-1]) != (packet.n_min, packet.n_max):
+        raise RangeMismatch(f"{what} covers [{n[0]}, {n[-1]}], packet spans "
+                            f"[{packet.n_min}, {packet.n_max}]")
+
+
 def _phases(packet: Packet, energies: EnergyTable, t):
     """(e_+, beat) = (exp(-i eps_+ t), exp(i omega t)) on t's shape plus the
-    packet's n axis, with omega the table's splitting; e_- = e_+ beat."""
-    if energies.n_min > packet.n_min or energies.n_max < packet.n_max:
-        raise RangeMismatch(
-            f"energy table covers [{energies.n_min}, {energies.n_max}], "
-            f"packet needs [{packet.n_min}, {packet.n_max}]"
-        )
-    rows = slice(packet.n_min - energies.n_min, packet.n_max - energies.n_min + 1)
+    packet's n axis, with omega the table's splitting; e_- = e_+ beat.  The
+    table spans exactly the packet's n, else RangeMismatch (``_same_n``)."""
+    _same_n(packet, energies.n, "energy table")
     tt = np.asarray(t, dtype=float)
-    return (np.exp(-1j * np.multiply.outer(tt, energies.eps_plus[rows])),
-            np.exp(1j * np.multiply.outer(tt, energies.omega[rows])))
+    return (np.exp(-1j * np.multiply.outer(tt, energies.eps_plus)),
+            np.exp(1j * np.multiply.outer(tt, energies.omega)))
 
 
 def amplitudes_at(packet: Packet, energies: EnergyTable, t) -> SpinorAmplitudes:

@@ -43,8 +43,7 @@ def amplitude_densities(packet, energies, table, times):
     (|sum c1 R|^2 + |sum d1 R|^2) and r^2 |sum c2 R|^2, the oracle of
     ``densities``."""
     amps = amplitudes_at(packet, energies, np.asarray(times, dtype=float))
-    lo = packet.n_min - int(table.n_range[0])
-    rows = table.values[lo:lo + len(packet.n)]
+    rows = table.values
     r2 = table.r ** 2
     return (r2 * (np.abs(amps.c1 @ rows) ** 2 + np.abs(amps.d1 @ rows) ** 2),
             r2 * np.abs(amps.c2 @ rows) ** 2)
@@ -56,9 +55,8 @@ def ref_densities(packet, energies, table, times):
     two parts, squared, scaled and added onto zero-filled outputs in place.
     The byte reference of ``densities``, whose block makes one einsum and
     the same squares, scalings and adds in the same order."""
-    lo = int(table.n_range[0])
     a, b, l = complex(packet.spec.a), complex(packet.spec.b), energies.params.l
-    rows = table.values[packet.n_min - lo:packet.n_max - lo + 1]
+    rows = table.values
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
     flip = abs(b) ** 2 * 2 * l / (2 * l + 1) ** 2  # of |P_+ - P_-|^2

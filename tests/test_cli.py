@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import rwp
-from conftest import readme_block, readme_cli_examples
+from conftest import readme_block
 from rwp.cli import (_FLAGS, _g17_digits, build_parser, main, write_csv,
                      write_pgm)
 from rwp.core import (ATOMIC_TIME_SECONDS, PhysicalParams, energy_table,
@@ -384,6 +384,27 @@ class TestCarpet:
         assert np.all(imgs[0][0] == 0)
         assert max(imgs[0].max(), imgs[1].max()) == 255
 
+    @pytest.mark.parametrize("args, stem, magic", [
+        (["--figure", "6", "--out", "c.csv"], "c_rho{}.csv", b"t\\r,"),
+        (["--figure", "6"], "rwp_carpet_rho{}.pgm", b"P2\n"),
+        (["--figure", "6", "--format", "csv"], "rwp_carpet_rho{}.csv",
+         b"t\\r,"),
+        (["--out", "c.pgm"], "c_rho{}.pgm", b"P2\n"),
+        (["--format", "pgm", "--out", "e.csv"], "e_rho{}.csv", b"t\\r,"),
+    ], ids=["preset-csv-out", "preset-pgm", "preset-format-csv", "pgm-out",
+            "format-pgm-csv-out"])
+    def test_out_extension_decides_format(self, tmp_path, monkeypatch,
+                                          args, stem, magic):
+        # a .csv or .pgm out extension decides; else the flag, the config
+        # or the preset (figure 6: pgm), else csv
+        monkeypatch.chdir(tmp_path)
+        assert main(["carpet", "--Z", "92", "--samples", "3",
+                     "--grid-points", "501", *args]) == 0
+        names = [stem.format(k) for k in (1, 2)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes().startswith(magic)
+
     def test_csv_grid_axes(self, tmp_path):
         out = tmp_path / "c.csv"
         main(["carpet", "--Z", "92", "--samples", "5",
@@ -574,17 +595,6 @@ class TestFlagSets:
 
 
 class TestReadme:
-    def test_cli_examples_run(self, tmp_path, capsys):
-        examples = readme_cli_examples()
-        assert examples
-        for i, argv in enumerate(examples):
-            out = argv.index("--out") + 1
-            (tmp_path / str(i)).mkdir()
-            argv[out] = str(tmp_path / str(i) / argv[out])
-            assert main(argv) == 0, argv
-            written = capsys.readouterr().out.split()
-            assert written and all(map(os.path.exists, written))
-
     def test_library_example_runs(self):
         namespace = {}
         exec(readme_block("Library", "python"), namespace)

@@ -97,40 +97,31 @@ class TestDensities:
         assert abs(n2_quad - n2_analytic) < 0.05
         assert n2_quad == pytest.approx(n2_analytic, abs=1e-6)
 
-    def test_range_mismatch(self, z92, u92_grid, u92_table):
-        packet = build_packet(PacketSpec(n_av=80, sigma=2.0, a=0.0, b=1.0,
-                                         n_min=65, n_max=90), z92.l)
-        energies = energy_table(z92, 65, 90)
-        with pytest.raises(RangeMismatch):
-            densities(packet, energies, u92_table, [0.0])
+    def test_range_mismatch(self, down, u92_grid):
+        # each table spans exactly the packet's n, 70-90: a table short of
+        # it, or one n wider at either end, is an error
+        packet, energies = down
+        r = u92_grid.r[::10]
+        table = radial_table(energies.params, 70, 90, r)
+        for lo, hi in [(75, 90), (69, 90), (70, 91)]:
+            with pytest.raises(RangeMismatch,
+                               match=rf"radial table covers \[{lo}, {hi}\]"):
+                densities(packet, energies,
+                          radial_table(energies.params, lo, hi, r), [0.0])
+        for lo, hi in [(69, 90), (70, 91)]:
+            wide = energy_table(energies.params, lo, hi)
+            with pytest.raises(RangeMismatch,
+                               match=rf"energy table covers \[{lo}, {hi}\]"):
+                densities(packet, wide, table, [0.0])
+            with pytest.raises(RangeMismatch,
+                               match=rf"energy table covers \[{lo}, {hi}\]"):
+                observable_series(packet, wide, [0.0])
 
     def test_l_mismatch(self, down, u92_grid):
         packet, energies = down
         table = radial_table(PhysicalParams(Z=92, l=2), 70, 90, u92_grid.r)
         with pytest.raises(RangeMismatch, match="l=2"):
             densities(packet, energies, table, [0.0])
-
-    def test_wider_energy_table_changes_nothing(self, down, u92_grid):
-        # energy and radial tables that reach past the packet on both sides,
-        # alone, together or with different ranges, give the same bits as
-        # the exact ones: each n takes its own row
-        packet, energies = down
-        wide = energy_table(energies.params, packet.n_min - 2,
-                            packet.n_max + 3)
-        r = u92_grid.r[::10]
-        table = radial_table(energies.params, packet.n_min, packet.n_max, r)
-        wide_table = radial_table(energies.params, packet.n_min - 1,
-                                  packet.n_max + 4, r)
-        t = np.linspace(0.0, 1e6, 7)
-        want = densities(packet, energies, table, t)
-        for e, tab in [(wide, table), (energies, wide_table),
-                       (wide, wide_table)]:
-            for got, exact in zip(densities(packet, e, tab, t), want):
-                assert np.array_equal(got, exact)
-        for got, exact in zip(
-                dataclasses.astuple(observable_series(packet, wide, t)),
-                dataclasses.astuple(observable_series(packet, energies, t))):
-            assert np.array_equal(got, exact)
 
     def test_z_mismatch(self, down, u92_grid):
         # a Z = 50 table under Z = 92 energies would give quadrature norms

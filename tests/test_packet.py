@@ -199,7 +199,8 @@ class TestAmplitudes:
         assert one.c1.shape == one.d1.shape == one.c2.shape == packet.n.shape
 
     def test_range_mismatch(self, setup):
+        # the energy table spans exactly the packet's n: short or wider fails
         params, packet, _ = setup
-        short = energy_table(params, 75, 90)
-        with pytest.raises(RangeMismatch):
-            amplitudes_at(packet, short, 0.0)
+        for lo, hi in [(75, 90), (packet.n_min, packet.n_max + 1)]:
+            with pytest.raises(RangeMismatch, match=rf"covers \[{lo}, {hi}\]"):
+                amplitudes_at(packet, energy_table(params, lo, hi), 0.0)

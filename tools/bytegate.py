@@ -9,13 +9,13 @@ unset and once at 2.  A job runs in a fresh empty directory with relative
 output paths, so the exit code, stdout, stderr and every file it leaves
 can be compared byte for byte.  Exit 1 on any difference, else 0.
 
-The jobs: figures 1-6, fig 6 also as CSV; every ``rwp`` line of the
-README's CLI usage block (read by ``readme_cli_examples`` in
-``tests/conftest.py``); the seed-1 and seed-2 jobs of each benchmark
-workload (``perfbench/workloads.draw_job``); a carpet CSV at one block of
-times and one sample either side of it on 501 radii; a carpet PGM at 9 and
-101 samples; and two jobs that exit 1 (a missing output directory, a
-subnormal ``t_max`` whose carpet axis does not ascend).  Stdlib only.
+The jobs: those of ``tests/make_golden.py`` (figures 1-6 and every ``rwp``
+line of the README's CLI usage block); fig 6 also as CSV; the seed-1 and
+seed-2 jobs of each benchmark workload (``perfbench/workloads.draw_job``);
+a carpet CSV at one block of times and one sample either side of it on 501
+radii; a carpet PGM at 9 and 101 samples; and two jobs that exit 1 (a
+missing output directory, a subnormal ``t_max`` whose carpet axis does not
+ascend).  Stdlib only.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FIGURES = {1: "density", 2: "observables", 3: "timescales",
-           4: "observables", 5: "density", 6: "carpet"}
 CARPET = ["carpet", "--Z", "92", "--a", "0.6", "--b", "0.8",
           "--t-max", "1.5"]
 
@@ -48,11 +46,11 @@ def build_tree(rev: str, dest: Path) -> Path:
 
 
 def tree_facts() -> tuple:
-    """(the README's CLI examples, the block size), read by the test helpers
-    in a child process, which has numpy; this one need not."""
-    code = ("import json; from conftest import readme_cli_examples; "
+    """(the golden jobs of ``tests/make_golden.py``, the block size), read in
+    a child process, which has numpy; this one need not."""
+    code = ("import json; from make_golden import jobs; "
             "from rwp.radial import _BLOCK_ELEMENTS; print(json.dumps("
-            "[readme_cli_examples(), _BLOCK_ELEMENTS]))")
+            "[jobs(), _BLOCK_ELEMENTS]))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "tests",
@@ -62,14 +60,9 @@ def tree_facts() -> tuple:
 
 def jobs() -> dict:
     """Job name -> CLI argv, every output path relative."""
-    examples, block_elements = tree_facts()
-    named = {f"fig{k}": [command, "--figure", str(k), "--out",
-                         f"fig{k}.{'pgm' if k == 6 else 'csv'}"]
-             for k, command in FIGURES.items()}
+    named, block_elements = tree_facts()
     named["fig6-csv"] = ["carpet", "--figure", "6", "--format", "csv",
                          "--out", "fig6.csv"]
-    named.update((f"readme{i}", argv)
-                 for i, argv in enumerate(examples))
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS, draw_job
     for workload in sorted(WORKLOADS):
